@@ -2,11 +2,8 @@
 // section 4.2 — the binned receive-buffer allocator and batched frees —
 // measured as small-message MPI latency and throughput, plus the allocator
 // search-cost proxy.
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
-#include <array>
-
-#include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "micro.hpp"
 #include "mpi/buffer_alloc.hpp"
@@ -67,58 +64,36 @@ double small_msg_throughput_us(const MpiWorldConfig& cfg) {
   return spam::sim::to_usec(elapsed) / kMsgs;
 }
 
-// g_per_msg[binned][batch], filled by the parallel sweep in main().
-std::array<std::array<double, 2>, 2> g_per_msg{};
-
-void BM_SmallMsgPerMessage(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_per_msg[state.range(0)][state.range(1)];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["us_per_msg"] = us;
-}
-BENCHMARK(BM_SmallMsgPerMessage)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
-  {  // All four variants, per-message stream and cached 64 B hop latency.
-    std::vector<std::function<void()>> points;
-    for (int binned = 0; binned < 2; ++binned) {
-      for (int batch = 0; batch < 2; ++batch) {
-        points.push_back([binned, batch] {
-          g_per_msg[binned][batch] =
-              small_msg_throughput_us(variant(binned != 0, batch != 0));
-        });
-        points.push_back([binned, batch] {
-          spam::bench::mpi_hop_latency_us(variant(binned != 0, batch != 0),
-                                          64);
-        });
-      }
+  // Points: per variant, in table order, the per-message stream time and
+  // the 64 B hop latency.
+  std::vector<std::function<double()>> points;
+  for (const bool binned : {false, true}) {
+    for (const bool batch : {false, true}) {
+      points.push_back(
+          [=] { return small_msg_throughput_us(variant(binned, batch)); });
+      points.push_back([=] {
+        return spam::bench::mpi_hop_latency_us(variant(binned, batch), 64);
+      });
     }
-    spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
+  const std::vector<double> us = spam::bench::sweep(points);
 
   spam::report::Table tab(
       "Buffered-protocol ablation — 512 B message stream (2 nodes)");
   tab.set_header({"allocator", "frees", "us per message", "hop latency 64B"});
+  std::size_t k = 0;
   for (const bool binned : {false, true}) {
     for (const bool batch : {false, true}) {
-      const auto cfg = variant(binned, batch);
       tab.add_row({binned ? "binned+first-fit" : "first-fit only",
                    batch ? "batched" : "one per buffer",
-                   spam::report::fmt(g_per_msg[binned ? 1 : 0][batch ? 1 : 0],
-                                     2),
-                   spam::report::fmt(
-                       spam::bench::mpi_hop_latency_us(cfg, 64), 2)});
+                   spam::report::fmt(us[k], 2),
+                   spam::report::fmt(us[k + 1], 2)});
+      k += 2;
     }
   }
   spam::bench::emit(tab);

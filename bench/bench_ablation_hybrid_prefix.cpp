@@ -1,7 +1,8 @@
 // Ablation: the hybrid protocol's eager-prefix size (paper uses 4 KB).
 // Measures MPI bandwidth around the protocol-switch region for several
 // prefix sizes, including 0 (pure rendez-vous).
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <iterator>
 
 #include "harness.hpp"
 #include "micro.hpp"
@@ -25,39 +26,21 @@ MpiWorldConfig cfg_with_prefix(std::size_t prefix) {
 const std::size_t kPrefixes[] = {0, 1024, 2048, 4096, 7168};
 const std::size_t kSizes[] = {4096, 8192, 12288, 16384, 24576, 32768, 65536};
 
-void BM_HybridPrefix(benchmark::State& state) {
-  const std::size_t prefix = kPrefixes[state.range(0)];
-  const std::size_t size = kSizes[state.range(1)];
-  double bw = 0;
-  for (auto _ : state) {
-    bw = spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(prefix), size);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MBps"] = bw;
-}
-BENCHMARK(BM_HybridPrefix)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4, 5, 6}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
-  {  // Warm every (prefix, size) point across --jobs threads.
-    std::vector<std::function<void()>> points;
+  // Points: (size, prefix), size-major, in table order.
+  std::vector<std::function<double()>> points;
+  for (std::size_t s : kSizes) {
     for (std::size_t p : kPrefixes) {
-      for (std::size_t s : kSizes) {
-        points.push_back([p, s] {
-          spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(p), s);
-        });
-      }
+      points.push_back([p, s] {
+        return spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(p), s);
+      });
     }
-    spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
+  const std::vector<double> mbps = spam::bench::sweep(points);
 
   spam::report::Table tab(
       "Hybrid-prefix ablation — MPI bandwidth (MB/s) by prefix size");
@@ -66,11 +49,11 @@ int main(int argc, char** argv) {
     hdr.push_back(p == 0 ? "pure rdv" : std::to_string(p) + "B prefix");
   }
   tab.set_header(hdr);
+  std::size_t k = 0;
   for (std::size_t s : kSizes) {
     std::vector<std::string> row{std::to_string(s)};
-    for (std::size_t p : kPrefixes) {
-      row.push_back(spam::report::fmt(
-          spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(p), s)));
+    for (std::size_t p = 0; p < std::size(kPrefixes); ++p) {
+      row.push_back(spam::report::fmt(mbps[k++]));
     }
     tab.add_row(row);
   }

@@ -214,13 +214,7 @@ int main(int argc, char** argv) {
       ++i;
     }
   }
-  spam::bench::harness_init(&argc, argv);
-  if (argc > 1) {
-    std::fprintf(stderr,
-                 "usage: %s [--quick] [--no-localclock] [--out <path>]\n",
-                 argv[0]);
-    return 2;
-  }
+  spam::bench::harness_init(argc, argv, "[--no-localclock]");
   const bool quick = spam::bench::options().quick;
   const std::string out = spam::bench::options().out.empty()
                               ? "BENCH_app_perf.json"

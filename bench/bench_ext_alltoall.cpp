@@ -3,9 +3,8 @@
 // (all senders hammer rank 0, then rank 1, ...), while a vendor-style
 // staggered schedule spreads the load.  Measures both on 16 nodes across
 // block sizes, on the same MPI-AM device.
-#include <benchmark/benchmark.h>
-
-#include <array>
+#include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "harness.hpp"
@@ -65,48 +64,28 @@ double alltoall_us(bool staggered, std::size_t block, int nodes) {
 
 const std::size_t kBlocks[] = {256, 1024, 4096, 16384};
 
-// g_us[staggered][block index], filled by the parallel sweep in main().
-std::array<std::array<double, 4>, 2> g_us{};
-
-void BM_Alltoall(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_us[state.range(0)][state.range(1)];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_Alltoall)
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
-  {  // 2 schedules x 4 block sizes across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (int st = 0; st < 2; ++st) {
-      for (int b = 0; b < 4; ++b) {
-        points.push_back([st, b] {
-          g_us[st][b] = alltoall_us(st != 0, kBlocks[b], 16);
-        });
-      }
+  // Points: (block, schedule) with the naive schedule first.
+  std::vector<std::function<double()>> points;
+  for (std::size_t block : kBlocks) {
+    for (const bool staggered : {false, true}) {
+      points.push_back(
+          [block, staggered] { return alltoall_us(staggered, block, 16); });
     }
-    spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
+  const std::vector<double> us = spam::bench::sweep(points);
 
   spam::report::Table tab(
       "Extension — alltoall schedule, 16 nodes, same MPI-AM transport");
   tab.set_header({"block bytes", "MPICH naive (us)", "staggered (us)",
                   "naive / staggered"});
-  for (int b = 0; b < 4; ++b) {
-    const double naive = g_us[0][b];
-    const double stag = g_us[1][b];
+  for (std::size_t b = 0; b < std::size(kBlocks); ++b) {
+    const double naive = us[2 * b];
+    const double stag = us[2 * b + 1];
     tab.add_row({std::to_string(kBlocks[b]), spam::report::fmt(naive),
                  spam::report::fmt(stag), spam::report::fmt(naive / stag, 2)});
   }

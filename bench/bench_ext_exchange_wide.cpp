@@ -1,9 +1,9 @@
 // Extension: (a) bidirectional *exchange* bandwidth — the companion
 // measurement the paper's TR reports (footnote 3) — and (b) the AM
 // microbenchmark summary on wide nodes (the paper quotes thin nodes only).
-#include <benchmark/benchmark.h>
-
-#include <map>
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "harness.hpp"
@@ -45,85 +45,50 @@ double exchange_bandwidth_mbps(std::size_t piece,
   return static_cast<double>(total) / secs / 1e6;
 }
 
-// g_exchange[(piece, wide?)], filled by the parallel sweep in main().
-std::map<std::pair<std::size_t, bool>, double> g_exchange;
-
-void BM_Exchange(benchmark::State& state) {
-  double mbps = 0;
-  for (auto _ : state) {
-    mbps = g_exchange[{static_cast<std::size_t>(state.range(0)), false}];
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MBps_per_node"] = mbps;
-}
-BENCHMARK(BM_Exchange)->Arg(1024)->Arg(8192)->Arg(65536)
-    ->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto thin = spam::sphw::SpParams::thin_node();
   const auto wide = spam::sphw::SpParams::wide_node();
+  const auto async_store = spam::bench::AmBwMode::kPipelinedAsyncStore;
+  const std::size_t pieces[] = {1024, 8192, 65536};
 
-  {  // Exchange points land in the map; the AM points hit the cache.
-    std::vector<std::function<void()>> points;
-    for (std::size_t piece : {std::size_t{1024}, std::size_t{8192},
-                              std::size_t{65536}}) {
-      g_exchange[{piece, false}] = 0;
-      g_exchange[{piece, true}] = 0;
-      points.push_back([&, piece] {
-        g_exchange[{piece, false}] = exchange_bandwidth_mbps(piece, thin);
-      });
-      points.push_back([&, piece] {
-        g_exchange[{piece, true}] = exchange_bandwidth_mbps(piece, wide);
-      });
-      points.push_back([thin, piece] {
-        spam::bench::am_bandwidth_mbps(
-            spam::bench::AmBwMode::kPipelinedAsyncStore, piece, thin, {});
-      });
-    }
-    for (auto hw : {thin, wide}) {
-      points.push_back([hw] { spam::bench::am_rtt_us(1, hw); });
-      points.push_back([hw] {
-        spam::bench::am_bandwidth_mbps(
-            spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, hw, {});
-      });
-    }
-    spam::bench::prewarm(points);
+  // Points: per piece size, one-way (thin), exchange (thin), exchange
+  // (wide); then per node type, the round-trip and 1 MB bandwidth.
+  std::vector<std::function<double()>> points;
+  for (std::size_t piece : pieces) {
+    points.push_back([=] {
+      return spam::bench::am_bandwidth_mbps(async_store, piece, thin, {});
+    });
+    points.push_back([=] { return exchange_bandwidth_mbps(piece, thin); });
+    points.push_back([=] { return exchange_bandwidth_mbps(piece, wide); });
   }
-  benchmark::RunSpecifiedBenchmarks();
+  for (const spam::sphw::SpParams& hw : {thin, wide}) {
+    points.push_back([=] { return spam::bench::am_rtt_us(1, hw); });
+    points.push_back([=] {
+      return spam::bench::am_bandwidth_mbps(async_store, 1 << 20, hw, {});
+    });
+  }
+  const std::vector<double> v = spam::bench::sweep(points);
+  using spam::report::fmt;
 
   spam::report::Table ex(
       "Extension — bidirectional exchange bandwidth per node (MB/s)");
   ex.set_header({"piece bytes", "one-way (thin)", "exchange (thin)",
                  "exchange (wide)"});
-  for (std::size_t piece : {std::size_t{1024}, std::size_t{8192},
-                            std::size_t{65536}}) {
-    ex.add_row({std::to_string(piece),
-                spam::report::fmt(spam::bench::am_bandwidth_mbps(
-                    spam::bench::AmBwMode::kPipelinedAsyncStore, piece, thin,
-                    {})),
-                spam::report::fmt(g_exchange[{piece, false}]),
-                spam::report::fmt(g_exchange[{piece, true}])});
+  for (std::size_t i = 0; i < std::size(pieces); ++i) {
+    ex.add_row({std::to_string(pieces[i]), fmt(v[3 * i]), fmt(v[3 * i + 1]),
+                fmt(v[3 * i + 2])});
   }
   spam::bench::emit(ex);
 
   spam::report::Table am(
       "Extension — AM microbenchmarks, thin vs wide nodes");
   am.set_header({"metric", "thin", "wide"});
-  am.add_row({"one-word round-trip (us)",
-              spam::report::fmt(spam::bench::am_rtt_us(1, thin)),
-              spam::report::fmt(spam::bench::am_rtt_us(1, wide))});
-  am.add_row({"async-store r-inf (MB/s)",
-              spam::report::fmt(spam::bench::am_bandwidth_mbps(
-                  spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, thin,
-                  {})),
-              spam::report::fmt(spam::bench::am_bandwidth_mbps(
-                  spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, wide,
-                  {}))});
+  am.add_row({"one-word round-trip (us)", fmt(v[9]), fmt(v[11])});
+  am.add_row({"async-store r-inf (MB/s)", fmt(v[10]), fmt(v[12])});
   spam::bench::emit(am);
 
   std::printf(

@@ -3,9 +3,7 @@
 // choice implies: polling gives minimum latency when the receiver is
 // attentive; interrupts bound response time during long computations at a
 // per-message premium.
-#include <benchmark/benchmark.h>
-
-#include <array>
+#include <cstdio>
 #include <vector>
 
 #include "harness.hpp"
@@ -66,51 +64,24 @@ double busy_response_us(bool interrupts) {
   return spam::sim::to_usec(total) / kMsgs;
 }
 
-void BM_AttentiveRtt(benchmark::State& state) {
-  const bool irq = state.range(0) != 0;
-  double us = 0;
-  for (auto _ : state) {
-    us = attentive_rtt_us(irq);
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AttentiveRtt)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
-// g_busy[irq], filled by the parallel sweep in main(); attentive_rtt_us
-// goes through the ResultCache.
-std::array<double, 2> g_busy{};
-
-void BM_BusyResponse(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_busy[state.range(0)];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_BusyResponse)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
-  spam::bench::prewarm({[] { attentive_rtt_us(false); },
-                        [] { attentive_rtt_us(true); },
-                        [] { g_busy[0] = busy_response_us(false); },
-                        [] { g_busy[1] = busy_response_us(true); }});
-  benchmark::RunSpecifiedBenchmarks();
+  const std::vector<double> us = spam::bench::sweep<double>(
+      {[] { return attentive_rtt_us(false); },
+       [] { return attentive_rtt_us(true); },
+       [] { return busy_response_us(false); },
+       [] { return busy_response_us(true); }});
 
   spam::report::Table tab(
       "Extension — polling vs interrupt-driven reception");
   tab.set_header({"scenario", "polling", "interrupt-driven"});
   tab.add_row({"round-trip, attentive responder (us)",
-               spam::report::fmt(attentive_rtt_us(false)),
-               spam::report::fmt(attentive_rtt_us(true))});
+               spam::report::fmt(us[0]), spam::report::fmt(us[1])});
   tab.add_row({"round-trip, responder computing 5 ms slices (us)",
-               spam::report::fmt(g_busy[0]), spam::report::fmt(g_busy[1])});
+               spam::report::fmt(us[2]), spam::report::fmt(us[3])});
   spam::bench::emit(tab);
   std::printf(
       "\nReading: with an attentive responder polling wins (no interrupt "

@@ -1,7 +1,7 @@
 // Reproduces paper Figures 10 and 11: MPI per-hop latency and bandwidth on
 // wide SP nodes.  MPI-F was tuned on wide nodes, so here it wins on very
 // small messages (< ~100 B) while the optimized MPI-AM takes over above.
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "harness.hpp"
 #include "micro.hpp"
@@ -35,65 +35,57 @@ std::vector<std::size_t> bandwidth_sizes() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto hw = spam::sphw::SpParams::wide_node();
 
-  {  // Warm every (curve, size) point across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (std::size_t s : latency_sizes()) {
-      points.push_back([s, hw] { spam::bench::am_store_hop_latency_us(s, hw); });
-      for (auto impl : {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
-                        MpiImpl::kMpiF}) {
-        points.push_back([impl, s] {
-          spam::bench::mpi_hop_latency_us(cfg_of(impl), s);
-        });
-      }
+  // Points: every latency size, then every bandwidth size; per size the
+  // four curves in column order (am_store, unopt MPI-AM, opt MPI-AM, MPI-F).
+  const MpiImpl impls[] = {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
+                           MpiImpl::kMpiF};
+  std::vector<std::function<double()>> points;
+  for (std::size_t s : latency_sizes()) {
+    points.push_back(
+        [&hw, s] { return spam::bench::am_store_hop_latency_us(s, hw); });
+    for (MpiImpl impl : impls) {
+      points.push_back([impl, s] {
+        return spam::bench::mpi_hop_latency_us(cfg_of(impl), s);
+      });
     }
-    for (std::size_t s : bandwidth_sizes()) {
-      points.push_back([s, hw] { spam::bench::am_store_bandwidth_mbps(s, hw); });
-      for (auto impl : {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
-                        MpiImpl::kMpiF}) {
-        points.push_back([impl, s] {
-          spam::bench::mpi_bandwidth_mbps(cfg_of(impl), s);
-        });
-      }
-    }
-    spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
+  for (std::size_t s : bandwidth_sizes()) {
+    points.push_back(
+        [&hw, s] { return spam::bench::am_store_bandwidth_mbps(s, hw); });
+    for (MpiImpl impl : impls) {
+      points.push_back([impl, s] {
+        return spam::bench::mpi_bandwidth_mbps(cfg_of(impl), s);
+      });
+    }
+  }
+  const std::vector<double> v = spam::bench::sweep(points);
+  // One table row: `bytes`, then the four curves of point row `r`.
+  const auto row = [&](std::size_t r, std::size_t bytes) {
+    std::vector<std::string> cells{std::to_string(bytes)};
+    for (std::size_t c = 0; c < 4; ++c) {
+      cells.push_back(spam::report::fmt(v[4 * r + c]));
+    }
+    return cells;
+  };
 
   spam::report::Table lat(
       "Figure 10 — MPI per-hop latency on wide nodes (us)");
   lat.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM",
                   "MPI-F"});
-  for (std::size_t s : latency_sizes()) {
-    lat.add_row(
-        {std::to_string(s),
-         spam::report::fmt(spam::bench::am_store_hop_latency_us(s, hw)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kAmUnoptimized), s)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kAmOptimized), s)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kMpiF), s))});
-  }
+  const auto lsz = latency_sizes();
+  for (std::size_t i = 0; i < lsz.size(); ++i) lat.add_row(row(i, lsz[i]));
   spam::bench::emit(lat);
 
   spam::report::Table bw(
       "Figure 11 — MPI point-to-point bandwidth on wide nodes (MB/s)");
   bw.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM", "MPI-F"});
-  for (std::size_t s : bandwidth_sizes()) {
-    bw.add_row(
-        {std::to_string(s),
-         spam::report::fmt(spam::bench::am_store_bandwidth_mbps(s, hw)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kAmUnoptimized), s)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kAmOptimized), s)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kMpiF), s))});
+  const auto bsz = bandwidth_sizes();
+  for (std::size_t i = 0; i < bsz.size(); ++i) {
+    bw.add_row(row(lsz.size() + i, bsz[i]));
   }
   spam::bench::emit(bw);
 

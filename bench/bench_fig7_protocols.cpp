@@ -6,7 +6,8 @@
 // The pure-buffered curve needs room beyond the production 16 KB region,
 // so that configuration runs with an enlarged 256 KB per-peer buffer (the
 // paper's protocol study similarly isolates the protocols).
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdio>
 
 #include "harness.hpp"
 #include "micro.hpp"
@@ -54,65 +55,34 @@ std::vector<std::size_t> sizes() {
   return v;
 }
 
-void run_curve(const char* name, const MpiWorldConfig& cfg,
-               std::vector<spam::report::BwPoint>& out) {
-  for (std::size_t s : sizes()) {
-    out.push_back({s, spam::bench::mpi_bandwidth_mbps(cfg, s)});
-  }
-  (void)name;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
-  std::vector<spam::report::BwPoint> buffered, rdv, hybrid;
-
-  {  // Warm every (protocol, size) point across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (auto cfg : {force_buffered(), force_rendezvous(), force_hybrid()}) {
-      for (std::size_t s : sizes()) {
-        points.push_back([cfg, s] { spam::bench::mpi_bandwidth_mbps(cfg, s); });
-      }
+  // Points: (size, protocol) for every size, protocols in column order.
+  const auto sz = sizes();
+  const MpiWorldConfig protocols[] = {force_buffered(), force_rendezvous(),
+                                      force_hybrid()};
+  std::vector<std::function<double()>> points;
+  for (std::size_t s : sz) {
+    for (const MpiWorldConfig& cfg : protocols) {
+      points.push_back(
+          [&cfg, s] { return spam::bench::mpi_bandwidth_mbps(cfg, s); });
     }
-    spam::bench::prewarm(points);
   }
-
-  benchmark::RegisterBenchmark("Fig7/Buffered", [&](benchmark::State& state) {
-    for (auto _ : state) {
-      run_curve("buffered", force_buffered(), buffered);
-      state.SetIterationTime(1e-3);
-    }
-    state.counters["r_inf"] = spam::report::r_infinity(buffered);
-  })->UseManualTime()->Iterations(1);
-  benchmark::RegisterBenchmark("Fig7/Rendezvous",
-                               [&](benchmark::State& state) {
-    for (auto _ : state) {
-      run_curve("rendezvous", force_rendezvous(), rdv);
-      state.SetIterationTime(1e-3);
-    }
-    state.counters["r_inf"] = spam::report::r_infinity(rdv);
-  })->UseManualTime()->Iterations(1);
-  benchmark::RegisterBenchmark("Fig7/Hybrid", [&](benchmark::State& state) {
-    for (auto _ : state) {
-      run_curve("hybrid", force_hybrid(), hybrid);
-      state.SetIterationTime(1e-3);
-    }
-    state.counters["r_inf"] = spam::report::r_infinity(hybrid);
-  })->UseManualTime()->Iterations(1);
-  benchmark::RunSpecifiedBenchmarks();
+  const std::vector<double> mbps = spam::bench::sweep(points);
+  const auto buffered = [&](std::size_t i) { return mbps[3 * i]; };
+  const auto rdv = [&](std::size_t i) { return mbps[3 * i + 1]; };
+  const auto hybrid = [&](std::size_t i) { return mbps[3 * i + 2]; };
 
   spam::report::Table tab(
       "Figure 7 — buffered vs rendez-vous vs hybrid protocol bandwidth "
       "(MB/s)");
   tab.set_header({"bytes", "buffered", "rendez-vous", "hybrid"});
-  const auto sz = sizes();
   for (std::size_t i = 0; i < sz.size(); ++i) {
-    tab.add_row({std::to_string(sz[i]), spam::report::fmt(buffered[i].mbps),
-                 spam::report::fmt(rdv[i].mbps),
-                 spam::report::fmt(hybrid[i].mbps)});
+    tab.add_row({std::to_string(sz[i]), spam::report::fmt(buffered(i)),
+                 spam::report::fmt(rdv(i)), spam::report::fmt(hybrid(i))});
   }
   spam::bench::emit(tab);
 
@@ -122,7 +92,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < sz.size(); ++i) {
     if (sz[i] < 4096 || sz[i] > 32768) continue;
     ++pts;
-    if (hybrid[i].mbps + 0.5 >= std::min(buffered[i].mbps, rdv[i].mbps)) {
+    if (hybrid(i) + 0.5 >= std::min(buffered(i), rdv(i))) {
       ++wins;
     }
   }

@@ -241,12 +241,7 @@ int main(int argc, char** argv) {
       ++i;
     }
   }
-  spam::bench::harness_init(&argc, argv);
-  if (argc > 1) {
-    std::fprintf(stderr, "usage: %s [--quick] [--no-fastpath] [--out <path>]\n",
-                 argv[0]);
-    return 2;
-  }
+  spam::bench::harness_init(argc, argv, "[--no-fastpath]");
   const bool quick = spam::bench::options().quick;
   const std::string out = spam::bench::options().out.empty()
                               ? "BENCH_host_perf.json"

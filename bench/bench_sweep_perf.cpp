@@ -2,7 +2,7 @@
 // serially (--jobs 1) and across all host cores, checks the two rendered
 // tables are byte-identical, and records wall-clock and speedup.  Unlike
 // the table/figure benches this reports *host* time; it is the regression
-// guard for the driver::SweepRunner/ResultCache path.
+// guard for the driver::SweepRunner path.
 //
 // Usage: bench_sweep_perf [--quick] [--jobs N] [--out <path>]
 // Writes a JSON report (default: BENCH_sweep_perf.json in the cwd) and
@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -27,26 +26,20 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// One cold sweep at `jobs` threads: clear the cache, compute every point,
-/// render the table.  Returns (render, wall seconds).
+/// One sweep at `jobs` threads: compute every point, render the table.
+/// Returns (render, wall seconds of the compute).
 std::pair<std::string, double> timed_sweep(
     int jobs, const std::vector<std::size_t>& sizes) {
-  spam::driver::ResultCache::instance().clear();
   const auto t0 = Clock::now();
-  spam::driver::SweepRunner(jobs).run(spam::bench::fig3_points(sizes));
+  const std::vector<double> mbps = spam::bench::fig3_sweep(sizes, jobs);
   const double wall = secs_since(t0);
-  return {spam::bench::fig3_table(sizes).render(), wall};
+  return {spam::bench::fig3_table(sizes, mbps).render(), wall};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  if (argc > 1) {
-    std::fprintf(stderr, "usage: %s [--quick] [--jobs N] [--out <path>]\n",
-                 argv[0]);
-    return 2;
-  }
+  spam::bench::harness_init(argc, argv);
   const bool quick = spam::bench::options().quick;
   const std::string out = spam::bench::options().out.empty()
                               ? "BENCH_sweep_perf.json"

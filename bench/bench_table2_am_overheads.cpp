@@ -1,70 +1,22 @@
 // Reproduces paper Table 2: cost of am_request_N / am_reply_N calls,
 // plus the poll costs quoted in section 2.5.
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
-namespace {
-
-void BM_AmRequestCost(benchmark::State& state) {
-  const int words = static_cast<int>(state.range(0));
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_request_cost_us(words);
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmRequestCost)->DenseRange(1, 4)->UseManualTime()->Iterations(1);
-
-void BM_AmReplyCost(benchmark::State& state) {
-  const int words = static_cast<int>(state.range(0));
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_reply_cost_us(words);
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmReplyCost)->DenseRange(1, 4)->UseManualTime()->Iterations(1);
-
-void BM_AmPollEmpty(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_poll_empty_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmPollEmpty)->UseManualTime()->Iterations(1);
-
-void BM_AmPollPerMessage(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_poll_per_msg_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmPollPerMessage)->UseManualTime()->Iterations(1);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
-  std::vector<std::function<void()>> points;
+  // Points: request_N and reply_N for N = 1..4, then the two poll costs.
+  std::vector<std::function<double()>> points;
   for (int n = 1; n <= 4; ++n) {
-    points.push_back([n] { spam::bench::am_request_cost_us(n); });
-    points.push_back([n] { spam::bench::am_reply_cost_us(n); });
+    points.push_back([n] { return spam::bench::am_request_cost_us(n); });
+    points.push_back([n] { return spam::bench::am_reply_cost_us(n); });
   }
-  points.push_back([] { spam::bench::am_poll_empty_us(); });
-  points.push_back([] { spam::bench::am_poll_per_msg_us(); });
-  spam::bench::prewarm(points);
-
-  benchmark::RunSpecifiedBenchmarks();
+  points.push_back([] { return spam::bench::am_poll_empty_us(); });
+  points.push_back([] { return spam::bench::am_poll_one_msg_us(); });
+  const std::vector<double> us = spam::bench::sweep(points);
+  const double poll_empty = us[8];
+  const double poll_one_msg = us[9];
 
   spam::report::PaperComparison cmp(
       "Table 2 — cost of am_request_N / am_reply_N (thin nodes)");
@@ -73,16 +25,15 @@ int main(int argc, char** argv) {
   for (int n = 1; n <= 4; ++n) {
     cmp.add("am_request_" + std::to_string(n),
             spam::report::fmt_us(paper_req[n - 1]),
-            spam::report::fmt_us(spam::bench::am_request_cost_us(n)),
-            "includes one empty poll");
+            spam::report::fmt_us(us[2 * (n - 1)]), "includes one empty poll");
     cmp.add("am_reply_" + std::to_string(n),
             spam::report::fmt_us(paper_rep[n - 1]),
-            spam::report::fmt_us(spam::bench::am_reply_cost_us(n)));
+            spam::report::fmt_us(us[2 * (n - 1) + 1]));
   }
   cmp.add("am_poll (empty network)", spam::report::fmt_us(1.3),
-          spam::report::fmt_us(spam::bench::am_poll_empty_us()));
+          spam::report::fmt_us(poll_empty));
   cmp.add("per received message", spam::report::fmt_us(1.8),
-          spam::report::fmt_us(spam::bench::am_poll_per_msg_us()));
+          spam::report::fmt_us(poll_one_msg - poll_empty));
   spam::bench::emit(cmp);
   return spam::bench::harness_finish();
 }

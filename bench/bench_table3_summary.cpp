@@ -1,98 +1,57 @@
 // Reproduces paper Table 3 (performance summary of SP AM vs IBM MPL) and
 // the section 2.3 latency numbers: one-word round-trips (AM 51.0 us, raw
 // 46.5 us, MPL 88 us), asymptotic bandwidths, and half-power points.
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
 namespace {
 
-using spam::bench::AmBwMode;
-using spam::bench::MplBwMode;
 using spam::report::BwPoint;
 
-std::vector<BwPoint> sweep_am(AmBwMode mode) {
-  std::vector<BwPoint> curve;
-  for (std::size_t s : spam::bench::figure3_sizes()) {
-    curve.push_back({s, spam::bench::am_bandwidth_mbps(mode, s)});
+/// One Figure 3 curve as (size, MB/s) points, from fig3_sweep's values.
+std::vector<BwPoint> curve(const std::vector<std::size_t>& sizes,
+                           const std::vector<double>& mbps,
+                           spam::bench::Fig3Curve c) {
+  std::vector<BwPoint> out;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    out.push_back({sizes[i], mbps[i * spam::bench::kFig3Curves + c]});
   }
-  return curve;
+  return out;
 }
-
-std::vector<BwPoint> sweep_mpl(MplBwMode mode) {
-  std::vector<BwPoint> curve;
-  for (std::size_t s : spam::bench::figure3_sizes()) {
-    curve.push_back({s, spam::bench::mpl_bandwidth_mbps(mode, s)});
-  }
-  return curve;
-}
-
-void BM_AmRoundTrip(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_rtt_us(static_cast<int>(state.range(0)));
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmRoundTrip)->DenseRange(1, 4)->UseManualTime()->Iterations(1);
-
-void BM_RawRoundTrip(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::raw_rtt_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_RawRoundTrip)->UseManualTime()->Iterations(1);
-
-void BM_MplRoundTrip(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::mpl_rtt_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_MplRoundTrip)->UseManualTime()->Iterations(1);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
-  // All round-trips plus the six Figure-3 curves the n-1/2 analysis sweeps.
-  std::vector<std::function<void()>> points;
+  // Round-trips: AM with 1..4 words, raw, MPL.  Then the six Figure 3
+  // curves the r-inf and n-1/2 analysis reads.
+  std::vector<std::function<double()>> points;
   for (int n = 1; n <= 4; ++n) {
-    points.push_back([n] { spam::bench::am_rtt_us(n); });
+    points.push_back([n] { return spam::bench::am_rtt_us(n); });
   }
-  points.push_back([] { spam::bench::raw_rtt_us(); });
-  points.push_back([] { spam::bench::mpl_rtt_us(); });
-  for (auto& p : spam::bench::fig3_points(spam::bench::figure3_sizes())) {
-    points.push_back(std::move(p));
-  }
-  spam::bench::prewarm(points);
-
-  benchmark::RunSpecifiedBenchmarks();
+  points.push_back([] { return spam::bench::raw_rtt_us(); });
+  points.push_back([] { return spam::bench::mpl_rtt_us(); });
+  const std::vector<double> rtt = spam::bench::sweep(points);
+  const auto sizes = spam::bench::figure3_sizes();
+  const std::vector<double> mbps =
+      spam::bench::fig3_sweep(sizes, spam::bench::options().jobs);
 
   using spam::report::fmt_bytes;
   using spam::report::fmt_mbps;
   using spam::report::fmt_us;
 
-  const double am1 = spam::bench::am_rtt_us(1);
-  const double am4 = spam::bench::am_rtt_us(4);
-  const double raw = spam::bench::raw_rtt_us();
-  const double mpl = spam::bench::mpl_rtt_us();
+  const double am1 = rtt[0];
+  const double am4 = rtt[3];
+  const double raw = rtt[4];
+  const double mpl = rtt[5];
 
-  const auto async_store = sweep_am(AmBwMode::kPipelinedAsyncStore);
-  const auto async_get = sweep_am(AmBwMode::kPipelinedAsyncGet);
-  const auto sync_store = sweep_am(AmBwMode::kSyncStore);
-  const auto sync_get = sweep_am(AmBwMode::kSyncGet);
-  const auto mpl_pipe = sweep_mpl(MplBwMode::kPipelined);
-  const auto mpl_block = sweep_mpl(MplBwMode::kBlocking);
+  const auto async_store = curve(sizes, mbps, spam::bench::kFig3AsyncStore);
+  const auto async_get = curve(sizes, mbps, spam::bench::kFig3AsyncGet);
+  const auto sync_store = curve(sizes, mbps, spam::bench::kFig3SyncStore);
+  const auto sync_get = curve(sizes, mbps, spam::bench::kFig3SyncGet);
+  const auto mpl_pipe = curve(sizes, mbps, spam::bench::kFig3MplPipelined);
+  const auto mpl_block = curve(sizes, mbps, spam::bench::kFig3MplBlocking);
 
   spam::report::PaperComparison cmp(
       "Table 3 — performance summary of SP AM and IBM MPL (thin nodes)");
@@ -120,5 +79,9 @@ int main(int argc, char** argv) {
   cmp.add("MPL n1/2 blocking", "> 3000 B",
           fmt_bytes(spam::report::n_half(mpl_block)));
   spam::bench::emit(cmp);
+  using spam::report::fmt;
+  std::printf("\nAM round-trip for 1/2/3/4 words: %s / %s / %s / %s us\n",
+              fmt(rtt[0], 2).c_str(), fmt(rtt[1], 2).c_str(),
+              fmt(rtt[2], 2).c_str(), fmt(rtt[3], 2).c_str());
   return spam::bench::harness_finish();
 }

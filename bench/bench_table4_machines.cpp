@@ -2,11 +2,6 @@
 // Meiko CS-2, U-Net/ATM cluster, and IBM SP — message overhead, round-trip
 // latency, and per-node bandwidth, measured on the respective machine
 // models.
-#include <benchmark/benchmark.h>
-
-#include <array>
-
-#include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "logp/loggp.hpp"
 #include "micro.hpp"
@@ -64,46 +59,31 @@ struct Row {
   double paper_bw;
 };
 
-// Filled by the parallel sweep in main() before benchmarks run.
-std::array<double, 3> g_rtt{};
-std::array<double, 3> g_bw{};
-
-void BM_MachineRtt(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_rtt[static_cast<std::size_t>(state.range(0))];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_MachineRtt)->DenseRange(0, 2)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const LogGpParams presets[] = {LogGpParams::cm5(), LogGpParams::meiko_cs2(),
                                  LogGpParams::unet_atm()};
 
-  // LogGP points land in fixed slots; SP AM points go through the cache.
-  std::vector<std::function<void()>> points;
-  for (int i = 0; i < 3; ++i) {
-    points.push_back([&, i] { g_rtt[i] = loggp_rtt_us(presets[i]); });
-    points.push_back([&, i] { g_bw[i] = loggp_bw_mbps(presets[i]); });
+  // Points: (round-trip, bandwidth) per LogGP preset, then the SP AM ones.
+  std::vector<std::function<double()>> points;
+  for (const LogGpParams& p : presets) {
+    points.push_back([&p] { return loggp_rtt_us(p); });
+    points.push_back([&p] { return loggp_bw_mbps(p); });
   }
-  points.push_back([] { spam::bench::am_request_cost_us(1); });
-  points.push_back([] { spam::bench::am_poll_empty_us(); });
-  points.push_back([] { spam::bench::am_reply_cost_us(1); });
-  points.push_back([] { spam::bench::am_rtt_us(1); });
+  points.push_back([] { return spam::bench::am_request_cost_us(1); });
+  points.push_back([] { return spam::bench::am_poll_empty_us(); });
+  points.push_back([] { return spam::bench::am_reply_cost_us(1); });
+  points.push_back([] { return spam::bench::am_rtt_us(1); });
   points.push_back([] {
-    spam::bench::am_bandwidth_mbps(spam::bench::AmBwMode::kPipelinedAsyncStore,
-                                   1 << 20);
+    return spam::bench::am_bandwidth_mbps(
+        spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20);
   });
-  spam::bench::prewarm(points);
-
-  benchmark::RunSpecifiedBenchmarks();
+  const std::vector<double> v = spam::bench::sweep(points);
+  const double sp_request = v[6], sp_poll = v[7], sp_reply = v[8];
+  const double sp_rtt = v[9], sp_bw = v[10];
 
   using spam::report::fmt;
 
@@ -122,20 +102,15 @@ int main(int argc, char** argv) {
     tab.add_row({rows[i].machine, rows[i].cpu,
                  fmt(rows[i].paper_overhead_us) + " / " +
                      fmt(p.o_send_us + p.o_recv_us),
-                 fmt(rows[i].paper_rtt_us) + " / " + fmt(g_rtt[i]),
-                 fmt(rows[i].paper_bw) + " / " + fmt(g_bw[i])});
+                 fmt(rows[i].paper_rtt_us) + " / " + fmt(v[2 * i]),
+                 fmt(rows[i].paper_bw) + " / " + fmt(v[2 * i + 1])});
   }
   // The SP row uses the detailed TB2 model, not LogGP.
-  const double sp_overhead = spam::bench::am_request_cost_us(1) -
-                             spam::bench::am_poll_empty_us() +
-                             spam::bench::am_reply_cost_us(1);
+  const double sp_overhead = sp_request - sp_poll + sp_reply;
   tab.add_row({"IBM SP (SP AM)", "66 MHz Power2",
                fmt(3.0 + 1.4, 1) + "-ish / " + fmt(sp_overhead),
-               fmt(51.0) + " / " + fmt(spam::bench::am_rtt_us(1)),
-               fmt(34.0) + " / " +
-                   fmt(spam::bench::am_bandwidth_mbps(
-                       spam::bench::AmBwMode::kPipelinedAsyncStore,
-                       1 << 20))});
+               fmt(51.0) + " / " + fmt(sp_rtt),
+               fmt(34.0) + " / " + fmt(sp_bw)});
   spam::bench::emit(tab);
   return spam::bench::harness_finish();
 }

@@ -6,12 +6,10 @@
 //
 // Sort sizes are scaled to 64K keys (the scan of the paper garbles its key
 // counts); shapes, not absolute seconds, are the reproduction target.
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <functional>
 
 #include "apps/splitc_apps.hpp"
-#include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -86,13 +84,11 @@ std::vector<BenchDef> bench_defs() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto mach = machines();
   const auto defs = bench_defs();
-  // results[bench][machine], filled by the parallel sweep below; the
-  // registered benchmarks then only report the stored values.
+  // results[bench][machine], filled by the parallel sweep below.
   std::vector<std::vector<PhaseTimes>> results(
       defs.size(), std::vector<PhaseTimes>(mach.size()));
 
@@ -103,25 +99,6 @@ int main(int argc, char** argv) {
         SplitCWorld w(mach[m].cfg);
         results[b][m] = defs[b].run(w);
       });
-
-  for (std::size_t b = 0; b < defs.size(); ++b) {
-    for (std::size_t m = 0; m < mach.size(); ++m) {
-      benchmark::RegisterBenchmark(
-          (std::string("Table5/") + defs[b].name + "/" + mach[m].name).c_str(),
-          [&, b, m](benchmark::State& state) {
-            for (auto _ : state) {
-              state.SetIterationTime(results[b][m].total_s);
-            }
-            state.counters["total_s"] = results[b][m].total_s;
-            state.counters["cpu_s"] = results[b][m].cpu_s;
-            state.counters["net_s"] = results[b][m].comm_s;
-            state.counters["valid"] = results[b][m].valid ? 1 : 0;
-          })
-          ->UseManualTime()
-          ->Iterations(1);
-    }
-  }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table tab(
       "Table 5 — Split-C benchmark times on 8 processors (seconds)");

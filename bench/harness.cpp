@@ -1,10 +1,11 @@
 #include "harness.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
-#include "driver/sweep.hpp"
 #include "micro.hpp"
 
 namespace spam::bench {
@@ -53,34 +54,35 @@ HarnessOptions& options() {
   return opts;
 }
 
-void harness_init(int* argc, char** argv) {
+void harness_init(int argc, char** argv, const char* extra_usage) {
   HarnessOptions& o = options();
-  int keep = 1;
-  for (int i = 1; i < *argc; ++i) {
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--jobs N] [--quick] [--out <path>]%s%s\n",
+                 argv[0], *extra_usage != '\0' ? " " : "", extra_usage);
+    std::exit(2);
+  };
+  for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     auto value_of = [&](const char* flag) -> const char* {
       const std::size_t n = std::strlen(flag);
       if (std::strncmp(a, flag, n) != 0) return nullptr;
       if (a[n] == '=') return a + n + 1;
-      if (a[n] == '\0' && i + 1 < *argc) return argv[++i];
-      return nullptr;
+      if (a[n] != '\0') return nullptr;
+      if (i + 1 == argc) usage();
+      return argv[++i];
     };
     if (std::strcmp(a, "--quick") == 0) {
       o.quick = true;
     } else if (const char* v = value_of("--jobs")) {
-      o.jobs = std::atoi(v);
+      const char* end = v + std::strlen(v);
+      const auto [p, ec] = std::from_chars(v, end, o.jobs);
+      if (ec != std::errc{} || p != end || o.jobs < 0) usage();
     } else if (const char* v = value_of("--out")) {
       o.out = v;
     } else {
-      argv[keep++] = argv[i];
+      usage();
     }
   }
-  argv[keep] = nullptr;
-  *argc = keep;
-}
-
-void prewarm(const std::vector<std::function<void()>>& points) {
-  driver::SweepRunner(options().jobs).run(points);
 }
 
 void emit(const report::Table& t) {
@@ -94,11 +96,8 @@ int harness_finish() {
   const HarnessOptions& o = options();
   if (o.out.empty()) return 0;
 
-  const driver::ResultCache::Stats cs = driver::ResultCache::instance().stats();
   std::string j = "{\n";
   j += "  \"jobs\": " + std::to_string(driver::SweepRunner(o.jobs).jobs());
-  j += ",\n  \"cache\": {\"hits\": " + std::to_string(cs.hits) +
-       ", \"misses\": " + std::to_string(cs.misses) + "}";
   j += ",\n  \"tables\": [";
   bool first_table = true;
   for (const report::Table& t : collected()) {
@@ -128,35 +127,35 @@ int harness_finish() {
   return 0;
 }
 
-std::vector<std::function<void()>> fig3_points(
-    const std::vector<std::size_t>& sizes) {
-  std::vector<std::function<void()>> pts;
-  pts.reserve(sizes.size() * 6);
-  for (std::size_t s : sizes) {
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kSyncStore, s); });
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kSyncGet, s); });
-    pts.push_back([s] { mpl_bandwidth_mbps(MplBwMode::kBlocking, s); });
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, s); });
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kPipelinedAsyncGet, s); });
-    pts.push_back([s] { mpl_bandwidth_mbps(MplBwMode::kPipelined, s); });
+std::vector<double> fig3_sweep(const std::vector<std::size_t>& sizes,
+                               int jobs) {
+  std::vector<std::function<double()>> pts;
+  pts.reserve(sizes.size() * kFig3Curves);
+  for (std::size_t s : sizes) {  // kFig3Curves order
+    pts.push_back([s] { return am_bandwidth_mbps(AmBwMode::kSyncStore, s); });
+    pts.push_back([s] { return am_bandwidth_mbps(AmBwMode::kSyncGet, s); });
+    pts.push_back([s] { return mpl_bandwidth_mbps(MplBwMode::kBlocking, s); });
+    pts.push_back(
+        [s] { return am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, s); });
+    pts.push_back(
+        [s] { return am_bandwidth_mbps(AmBwMode::kPipelinedAsyncGet, s); });
+    pts.push_back(
+        [s] { return mpl_bandwidth_mbps(MplBwMode::kPipelined, s); });
   }
-  return pts;
+  return driver::SweepRunner(jobs).run(pts);
 }
 
-report::Table fig3_table(const std::vector<std::size_t>& sizes) {
+report::Table fig3_table(const std::vector<std::size_t>& sizes,
+                         const std::vector<double>& mbps) {
   report::Table tab("Figure 3 — bandwidth of bulk transfers (MB/s)");
   tab.set_header({"bytes", "sync store", "sync get", "MPL blocking",
                   "async store", "async get", "MPL pipelined"});
-  for (std::size_t s : sizes) {
-    tab.add_row({std::to_string(s),
-                 report::fmt(am_bandwidth_mbps(AmBwMode::kSyncStore, s)),
-                 report::fmt(am_bandwidth_mbps(AmBwMode::kSyncGet, s)),
-                 report::fmt(mpl_bandwidth_mbps(MplBwMode::kBlocking, s)),
-                 report::fmt(
-                     am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, s)),
-                 report::fmt(
-                     am_bandwidth_mbps(AmBwMode::kPipelinedAsyncGet, s)),
-                 report::fmt(mpl_bandwidth_mbps(MplBwMode::kPipelined, s))});
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    std::vector<std::string> row{std::to_string(sizes[i])};
+    for (std::size_t c = 0; c < kFig3Curves; ++c) {
+      row.push_back(report::fmt(mbps[i * kFig3Curves + c]));
+    }
+    tab.add_row(row);
   }
   return tab;
 }

@@ -1,23 +1,20 @@
 // Shared argv / parallel-sweep / JSON plumbing for the bench binaries.
 //
-// Every bench main follows the same shape:
+// Every paper bench main has the same shape:
 //
 //   int main(int argc, char** argv) {
-//     spam::bench::harness_init(&argc, argv);   // strips --jobs/--quick/--out
-//     benchmark::Initialize(&argc, argv);
-//     ... register benchmarks ...
-//     spam::bench::prewarm(points);             // parallel, fills ResultCache
-//     benchmark::RunSpecifiedBenchmarks();      // serial pass, hits the cache
-//     ... build report tables, emit(t) each ...
+//     spam::bench::harness_init(argc, argv);    // --jobs/--quick/--out
+//     ... build the list of measurement points ...
+//     const auto v = spam::bench::sweep(points); // once, across --jobs
+//     ... render report tables from v, emit(t) each ...
 //     return spam::bench::harness_finish();
 //   }
 //
-// prewarm() runs the measurement closures across --jobs host threads via
-// driver::SweepRunner; each closure constructs and runs its own
-// shared-nothing sim::World and stores its scalar into the process-wide
-// driver::ResultCache.  The serial google-benchmark pass and the table
-// builders then read cached values, so the emitted bytes are identical for
-// any --jobs setting — parallelism only moves the compute, never the
+// sweep() runs the points across --jobs host threads via
+// driver::SweepRunner.  Each point constructs and runs its own
+// shared-nothing sim::World, and its value lands in the slot of its index,
+// so the rendered tables — and all of stdout — are byte-identical for any
+// --jobs setting: parallelism only moves the compute, never the
 // aggregation order.
 #pragma once
 
@@ -26,12 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "driver/sweep.hpp"
 #include "report/report.hpp"
 
 namespace spam::bench {
 
 struct HarnessOptions {
-  /// Host threads for prewarm sweeps.  <= 0 selects hardware_concurrency.
+  /// Host threads for sweep().  0 selects hardware_concurrency.
   int jobs = 0;
   /// Benches may trim their sweeps when set (smoke runs).
   bool quick = false;
@@ -41,14 +39,19 @@ struct HarnessOptions {
 
 HarnessOptions& options();
 
-/// Strips the harness flags (--jobs N|--jobs=N, --quick, --out P|--out=P)
-/// from argv so the remainder can go to benchmark::Initialize untouched.
-void harness_init(int* argc, char** argv);
+/// Parses --jobs N|--jobs=N (an integer >= 0), --quick and --out P|--out=P.
+/// Any other argument, or a malformed value, prints usage to stderr and
+/// exits with status 2.  `extra_usage` names flags the caller already
+/// stripped from argv, for the usage line.
+void harness_init(int argc, char** argv, const char* extra_usage = "");
 
-/// Runs every closure across options().jobs threads (SweepRunner); returns
-/// when all have completed.  Closures must be independent (one World per
+/// Runs every point once across options().jobs threads; slot [i] holds
+/// points[i]()'s value.  Points must be independent (one World per
 /// thread — see docs/simulator.md).
-void prewarm(const std::vector<std::function<void()>>& points);
+template <typename R>
+std::vector<R> sweep(const std::vector<std::function<R()>>& points) {
+  return driver::SweepRunner(options().jobs).run(points);
+}
 
 /// Prints the table to stdout and records it for harness_finish()'s JSON.
 void emit(const report::Table& t);
@@ -59,14 +62,28 @@ void emit(const report::PaperComparison& c);
 int harness_finish();
 
 // --- Figure 3 shared sweep --------------------------------------------------
-// Used by bench_fig3_bandwidth, tools/spamsim, bench_sweep_perf, and the
-// serial-vs-parallel determinism test, so all four agree on the bytes.
+// Used by bench_fig3_bandwidth, bench_table3_summary, tools/spamsim,
+// bench_sweep_perf, and the serial-vs-parallel determinism test, so all of
+// them agree on the bytes.
 
-/// One closure per (curve, size) point; running them fills the ResultCache.
-std::vector<std::function<void()>> fig3_points(
-    const std::vector<std::size_t>& sizes);
+/// The six Figure 3 curves, in table-column order.
+enum Fig3Curve {
+  kFig3SyncStore,
+  kFig3SyncGet,
+  kFig3MplBlocking,
+  kFig3AsyncStore,
+  kFig3AsyncGet,
+  kFig3MplPipelined,
+  kFig3Curves
+};
 
-/// The rendered Figure 3 table for `sizes` (reads cached points when warm).
-report::Table fig3_table(const std::vector<std::size_t>& sizes);
+/// Measures every (size, curve) point once across `jobs` threads.  The
+/// value for sizes[i] on curve c is at [i * kFig3Curves + c].
+std::vector<double> fig3_sweep(const std::vector<std::size_t>& sizes,
+                               int jobs);
+
+/// The rendered Figure 3 table for fig3_sweep(sizes, ...)'s values.
+report::Table fig3_table(const std::vector<std::size_t>& sizes,
+                         const std::vector<double>& mbps);
 
 }  // namespace spam::bench

@@ -1,9 +1,7 @@
 #include "micro.hpp"
 
 #include <algorithm>
-#include <cstring>
 
-#include "driver/sweep.hpp"
 
 namespace spam::bench {
 
@@ -23,7 +21,7 @@ std::vector<std::byte> filled(std::size_t n) {
 
 }  // namespace
 
-static double am_rtt_us_raw(int words, sphw::SpParams hw, am::AmParams amp) {
+double am_rtt_us(int words, sphw::SpParams hw, am::AmParams amp) {
   AmFixture f(2, hw, amp);
   am::Endpoint& e0 = f.net.ep(0);
   am::Endpoint& e1 = f.net.ep(1);
@@ -67,7 +65,7 @@ static double am_rtt_us_raw(int words, sphw::SpParams hw, am::AmParams amp) {
   return sim::to_usec(total) / kIters;
 }
 
-static double raw_rtt_us_raw(sphw::SpParams hw) {
+double raw_rtt_us(sphw::SpParams hw) {
   // Raw ping-pong straight on the adapter: header-only packets, no
   // sequence numbers, no retransmission state, no per-message flow
   // bookkeeping.  Fixed software costs mirror the AM request/reply paths
@@ -110,7 +108,7 @@ static double raw_rtt_us_raw(sphw::SpParams hw) {
   return sim::to_usec(total) / kIters;
 }
 
-static double am_request_cost_us_raw(int words, sphw::SpParams hw) {
+double am_request_cost_us(int words, sphw::SpParams hw) {
   // Time of a successful am_request_N call (includes the poll it performs;
   // paper Table 2 assumes that poll finds the network empty).
   AmFixture f(2, hw, {});
@@ -137,7 +135,7 @@ static double am_request_cost_us_raw(int words, sphw::SpParams hw) {
   return sim::to_usec(req_cost);
 }
 
-static double am_reply_cost_us_raw(int words, sphw::SpParams hw) {
+double am_reply_cost_us(int words, sphw::SpParams hw) {
   // Time the am_reply_N call alone, invoked from a handler.
   AmFixture f(2, hw, {});
   am::Endpoint& e0 = f.net.ep(0);
@@ -170,7 +168,7 @@ static double am_reply_cost_us_raw(int words, sphw::SpParams hw) {
   return sim::to_usec(reply_cost);
 }
 
-static double am_poll_empty_us_raw(sphw::SpParams hw) {
+double am_poll_empty_us(sphw::SpParams hw) {
   AmFixture f(2, hw, {});
   sim::Time cost = 0;
   f.world.spawn(0, [&](sim::NodeCtx& ctx) {
@@ -182,7 +180,7 @@ static double am_poll_empty_us_raw(sphw::SpParams hw) {
   return sim::to_usec(cost);
 }
 
-static double am_poll_per_msg_us_raw(sphw::SpParams hw) {
+double am_poll_one_msg_us(sphw::SpParams hw) {
   AmFixture f(2, hw, {});
   am::Endpoint& e0 = f.net.ep(0);
   am::Endpoint& e1 = f.net.ep(1);
@@ -199,11 +197,11 @@ static double am_poll_per_msg_us_raw(sphw::SpParams hw) {
     poll_with_msg = ctx.now() - t0;
   });
   f.world.run();
-  return sim::to_usec(poll_with_msg) - am_poll_empty_us(hw);
+  return sim::to_usec(poll_with_msg);
 }
 
-static double am_bandwidth_mbps_raw(AmBwMode mode, std::size_t bytes,
-                                    sphw::SpParams hw, am::AmParams amp) {
+double am_bandwidth_mbps(AmBwMode mode, std::size_t bytes, sphw::SpParams hw,
+                         am::AmParams amp) {
   AmFixture f(2, hw, amp);
   am::Endpoint& e0 = f.net.ep(0);
   am::Endpoint& e1 = f.net.ep(1);
@@ -260,7 +258,7 @@ static double am_bandwidth_mbps_raw(AmBwMode mode, std::size_t bytes,
   return static_cast<double>(bytes * count) / sim::to_sec(elapsed) / 1e6;
 }
 
-static double mpl_rtt_us_raw(sphw::SpParams hw, mpl::MplParams mp) {
+double mpl_rtt_us(sphw::SpParams hw, mpl::MplParams mp) {
   sim::World world(2);
   sphw::SpMachine machine(world, hw);
   mpl::MplNet net(machine, mp);
@@ -286,8 +284,8 @@ static double mpl_rtt_us_raw(sphw::SpParams hw, mpl::MplParams mp) {
   return sim::to_usec(total) / kIters;
 }
 
-static double mpl_bandwidth_mbps_raw(MplBwMode mode, std::size_t bytes,
-                                     sphw::SpParams hw, mpl::MplParams mp) {
+double mpl_bandwidth_mbps(MplBwMode mode, std::size_t bytes,
+                          sphw::SpParams hw, mpl::MplParams mp) {
   sim::World world(2);
   sphw::SpMachine machine(world, hw);
   mpl::MplNet net(machine, mp);
@@ -347,8 +345,7 @@ std::vector<std::size_t> figure3_sizes() {
   return sizes;
 }
 
-static double mpi_hop_latency_us_raw(const mpi::MpiWorldConfig& cfg,
-                                     std::size_t bytes) {
+double mpi_hop_latency_us(const mpi::MpiWorldConfig& cfg, std::size_t bytes) {
   mpi::MpiWorld w(cfg);
   std::vector<std::byte> buf(std::max<std::size_t>(bytes, 1), std::byte{1});
   sim::Time total = 0;
@@ -373,8 +370,7 @@ static double mpi_hop_latency_us_raw(const mpi::MpiWorldConfig& cfg,
   return sim::to_usec(total) / kIters / ring;
 }
 
-static double mpi_bandwidth_mbps_raw(const mpi::MpiWorldConfig& cfg,
-                                     std::size_t bytes) {
+double mpi_bandwidth_mbps(const mpi::MpiWorldConfig& cfg, std::size_t bytes) {
   mpi::MpiWorldConfig c2 = cfg;
   c2.nodes = 2;
   mpi::MpiWorld w(c2);
@@ -404,8 +400,7 @@ static double mpi_bandwidth_mbps_raw(const mpi::MpiWorldConfig& cfg,
   return static_cast<double>(bytes * count) / sim::to_sec(elapsed) / 1e6;
 }
 
-static double am_store_hop_latency_us_raw(std::size_t bytes,
-                                          sphw::SpParams hw) {
+double am_store_hop_latency_us(std::size_t bytes, sphw::SpParams hw) {
   // Reference curve: one-way am_store delivery time, measured at the
   // receiving handler, averaged over a short train.
   AmFixture f(2, hw, {});
@@ -439,178 +434,6 @@ static double am_store_hop_latency_us_raw(std::size_t bytes,
 
 double am_store_bandwidth_mbps(std::size_t bytes, sphw::SpParams hw) {
   return am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, bytes, hw, {});
-}
-
-// --- Memoized public entry points -------------------------------------------
-// Each measurement is keyed on (bench id, every parameter field, size/mode)
-// and computed at most once per invocation via driver::ResultCache.  The
-// prewarm sweep (bench/harness.hpp) fills the cache across host threads;
-// the google-benchmark pass and the table builders then read it.  Params
-// are mixed field-by-field so padding bytes never reach the key.
-
-namespace {
-
-using driver::Hasher;
-
-Hasher& mix(Hasher& h, const sphw::SpParams& p) {
-  return h.mix(p.flush_line_us)
-      .mix(p.cache_line_bytes)
-      .mix(p.host_write_us_per_byte)
-      .mix(p.host_copy_us_per_byte)
-      .mix(p.mc_access_us)
-      .mix(p.mc_dma_mbps)
-      .mix(p.dma_setup_us)
-      .mix(p.i860_tx_us)
-      .mix(p.i860_rx_us)
-      .mix(p.link_mbps)
-      .mix(p.hop_latency_us)
-      .mix(p.send_fifo_entries)
-      .mix(p.recv_fifo_entries_per_node)
-      .mix(p.packet_data_bytes)
-      .mix(p.packet_header_bytes)
-      .mix(p.lazy_pop_batch)
-      .mix(p.network_fastpath)
-      .mix(p.local_clock);
-}
-
-Hasher& mix(Hasher& h, const am::AmParams& p) {
-  return h.mix(p.request_window_packets)
-      .mix(p.reply_window_packets)
-      .mix(p.chunk_packets)
-      .mix(p.explicit_ack_divisor)
-      .mix(p.keepalive_poll_threshold)
-      .mix(p.interrupt_driven)
-      .mix(p.interrupt_latency_us)
-      .mix(p.poll_empty_us)
-      .mix(p.per_msg_handling_us)
-      .mix(p.request_cpu_us)
-      .mix(p.reply_cpu_us)
-      .mix(p.per_word_us)
-      .mix(p.bookkeeping_us)
-      .mix(p.bulk_setup_us)
-      .mix(p.doorbell_batch_packets)
-      .mix(p.control_cpu_us);
-}
-
-Hasher& mix(Hasher& h, const mpl::MplParams& p) {
-  return h.mix(p.send_sw_us)
-      .mix(p.recv_sw_us)
-      .mix(p.per_packet_us)
-      .mix(p.sysbuf_copy_us_per_byte)
-      .mix(p.user_copy_us_per_byte)
-      .mix(p.poll_us)
-      .mix(p.credit_window)
-      .mix(p.credit_return_every);
-}
-
-Hasher& mix(Hasher& h, const mpi::MpiAmConfig& p) {
-  return h.mix(p.optimized)
-      .mix(p.peer_buffer_bytes)
-      .mix(p.eager_max)
-      .mix(p.hybrid)
-      .mix(p.hybrid_prefix)
-      .mix(p.binned_allocator)
-      .mix(p.batch_frees)
-      .mix(p.free_batch)
-      .mix(p.sw_send_us)
-      .mix(p.sw_recv_us)
-      .mix(p.copy_us_per_byte)
-      .mix(p.alloc_step_us);
-}
-
-Hasher& mix(Hasher& h, const mpif::MpiFConfig& p) {
-  h.mix(p.eager_max).mix(p.sw_send_us).mix(p.sw_recv_us);
-  mix(h, p.transport);
-  return h.mix(p.tuned_collectives);
-}
-
-Hasher& mix(Hasher& h, const mpi::MpiWorldConfig& p) {
-  h.mix(p.nodes).mix(p.impl).mix(p.seed);
-  mix(h, p.hw);
-  mix(h, p.am);
-  mix(h, p.am_cfg);
-  return mix(h, p.f_cfg);
-}
-
-double cached(const Hasher& h, const std::function<double()>& compute) {
-  return driver::ResultCache::instance().memoize(h.digest(), compute);
-}
-
-}  // namespace
-
-double am_rtt_us(int words, sphw::SpParams hw, am::AmParams amp) {
-  Hasher h("am_rtt_us");
-  mix(mix(h.mix(words), hw), amp);
-  return cached(h, [&] { return am_rtt_us_raw(words, hw, amp); });
-}
-
-double raw_rtt_us(sphw::SpParams hw) {
-  Hasher h("raw_rtt_us");
-  mix(h, hw);
-  return cached(h, [&] { return raw_rtt_us_raw(hw); });
-}
-
-double am_request_cost_us(int words, sphw::SpParams hw) {
-  Hasher h("am_request_cost_us");
-  mix(h.mix(words), hw);
-  return cached(h, [&] { return am_request_cost_us_raw(words, hw); });
-}
-
-double am_reply_cost_us(int words, sphw::SpParams hw) {
-  Hasher h("am_reply_cost_us");
-  mix(h.mix(words), hw);
-  return cached(h, [&] { return am_reply_cost_us_raw(words, hw); });
-}
-
-double am_poll_empty_us(sphw::SpParams hw) {
-  Hasher h("am_poll_empty_us");
-  mix(h, hw);
-  return cached(h, [&] { return am_poll_empty_us_raw(hw); });
-}
-
-double am_poll_per_msg_us(sphw::SpParams hw) {
-  Hasher h("am_poll_per_msg_us");
-  mix(h, hw);
-  return cached(h, [&] { return am_poll_per_msg_us_raw(hw); });
-}
-
-double am_bandwidth_mbps(AmBwMode mode, std::size_t bytes, sphw::SpParams hw,
-                         am::AmParams amp) {
-  Hasher h("am_bandwidth_mbps");
-  mix(mix(h.mix(mode).mix(bytes), hw), amp);
-  return cached(h, [&] { return am_bandwidth_mbps_raw(mode, bytes, hw, amp); });
-}
-
-double mpl_rtt_us(sphw::SpParams hw, mpl::MplParams mp) {
-  Hasher h("mpl_rtt_us");
-  mix(mix(h, hw), mp);
-  return cached(h, [&] { return mpl_rtt_us_raw(hw, mp); });
-}
-
-double mpl_bandwidth_mbps(MplBwMode mode, std::size_t bytes,
-                          sphw::SpParams hw, mpl::MplParams mp) {
-  Hasher h("mpl_bandwidth_mbps");
-  mix(mix(h.mix(mode).mix(bytes), hw), mp);
-  return cached(h,
-                [&] { return mpl_bandwidth_mbps_raw(mode, bytes, hw, mp); });
-}
-
-double mpi_hop_latency_us(const mpi::MpiWorldConfig& cfg, std::size_t bytes) {
-  Hasher h("mpi_hop_latency_us");
-  mix(h.mix(bytes), cfg);
-  return cached(h, [&] { return mpi_hop_latency_us_raw(cfg, bytes); });
-}
-
-double mpi_bandwidth_mbps(const mpi::MpiWorldConfig& cfg, std::size_t bytes) {
-  Hasher h("mpi_bandwidth_mbps");
-  mix(h.mix(bytes), cfg);
-  return cached(h, [&] { return mpi_bandwidth_mbps_raw(cfg, bytes); });
-}
-
-double am_store_hop_latency_us(std::size_t bytes, sphw::SpParams hw) {
-  Hasher h("am_store_hop_latency_us");
-  mix(h.mix(bytes), hw);
-  return cached(h, [&] { return am_store_hop_latency_us_raw(bytes, hw); });
 }
 
 }  // namespace spam::bench

@@ -30,9 +30,10 @@ double am_request_cost_us(int words,
                           sphw::SpParams hw = sphw::SpParams::thin_node());
 double am_reply_cost_us(int words,
                         sphw::SpParams hw = sphw::SpParams::thin_node());
-/// Poll costs (paper: 1.3 us empty, +1.8 us per received message).
+/// Poll costs (paper: 1.3 us empty, +1.8 us per received message).  The
+/// per-message cost is am_poll_one_msg_us() - am_poll_empty_us().
 double am_poll_empty_us(sphw::SpParams hw = sphw::SpParams::thin_node());
-double am_poll_per_msg_us(sphw::SpParams hw = sphw::SpParams::thin_node());
+double am_poll_one_msg_us(sphw::SpParams hw = sphw::SpParams::thin_node());
 
 enum class AmBwMode {
   kSyncStore,            // blocking am_store per transfer

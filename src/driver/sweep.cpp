@@ -3,6 +3,9 @@
 #include <limits>
 #include <thread>
 
+#include "driver/annotations.hpp"
+#include "driver/pool.hpp"
+
 namespace spam::driver {
 
 SweepRunner::SweepRunner(int jobs) {
@@ -45,46 +48,6 @@ void SweepRunner::run_indexed(std::size_t n,
   }
   pool.wait_idle();
   if (err) std::rethrow_exception(err);
-}
-
-ResultCache& ResultCache::instance() {
-  static ResultCache cache;
-  return cache;
-}
-
-double ResultCache::memoize(std::uint64_t key,
-                            const std::function<double()>& compute) {
-  {
-    MutexLock lk(mu_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      return it->second;
-    }
-    ++stats_.misses;
-  }
-  const double v = compute();
-  MutexLock lk(mu_);
-  return map_.emplace(key, v).first->second;  // first store wins
-}
-
-bool ResultCache::lookup(std::uint64_t key, double* out) const {
-  MutexLock lk(mu_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-void ResultCache::clear() {
-  MutexLock lk(mu_);
-  map_.clear();
-  stats_ = Stats{};
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  MutexLock lk(mu_);
-  return stats_;
 }
 
 }  // namespace spam::driver

@@ -1,7 +1,6 @@
-// SweepRunner + ResultCache + Hasher: slot-ordered aggregation under
-// adversarial job durations, deterministic exception selection, memoize
-// semantics, key distinctness, and the serial-vs-parallel determinism
-// guarantee on a real Figure-3 sub-sweep.  TSan-clean by design (the
+// SweepRunner: slot-ordered aggregation under adversarial job durations,
+// deterministic exception selection, and the serial-vs-parallel
+// determinism guarantee on a real Figure-3 sub-sweep.  TSan-clean by design (the
 // `tsan` CMake preset runs everything labelled `driver` under
 // ThreadSanitizer).
 #include <gtest/gtest.h>
@@ -22,8 +21,6 @@
 
 namespace {
 
-using spam::driver::Hasher;
-using spam::driver::ResultCache;
 using spam::driver::SweepRunner;
 
 TEST(SweepRunner, ResultsAreSlotOrderedUnderAdversarialDurations) {
@@ -93,71 +90,6 @@ TEST(SweepRunner, RethrowsLowestIndexedFailure) {
   EXPECT_EQ(sweep(1), "fail 3");
 }
 
-TEST(ResultCache, ComputesOnceThenHits) {
-  ResultCache& cache = ResultCache::instance();
-  cache.clear();
-  const auto before = cache.stats();
-  const std::uint64_t key = Hasher("test_compute_once").mix(42).digest();
-  std::atomic<int> computes{0};
-  auto compute = [&] {
-    computes.fetch_add(1);
-    return 6.25;
-  };
-  EXPECT_EQ(cache.memoize(key, compute), 6.25);
-  EXPECT_EQ(cache.memoize(key, compute), 6.25);
-  EXPECT_EQ(computes.load(), 1);
-  const auto after = cache.stats();
-  EXPECT_EQ(after.misses - before.misses, 1u);
-  EXPECT_EQ(after.hits - before.hits, 1u);
-
-  double v = 0;
-  EXPECT_TRUE(cache.lookup(key, &v));
-  EXPECT_EQ(v, 6.25);
-  cache.clear();
-  EXPECT_FALSE(cache.lookup(key, &v));
-}
-
-TEST(ResultCache, ConcurrentMissesOnSharedKeysAgree) {
-  // 64 jobs hammer 8 distinct keys; duplicate computes are allowed but the
-  // stored value must be the deterministic per-key value for every caller.
-  ResultCache& cache = ResultCache::instance();
-  cache.clear();
-  std::array<std::atomic<int>, 64> wrong{};
-  SweepRunner(4).run_indexed(64, [&](std::size_t i) {
-    const int k = static_cast<int>(i % 8);
-    const std::uint64_t key =
-        Hasher("test_concurrent_miss").mix(k).digest();
-    const double v = cache.memoize(key, [&] { return k * 1.5; });
-    if (v != k * 1.5) wrong[i].fetch_add(1);
-  });
-  for (const auto& w : wrong) EXPECT_EQ(w.load(), 0);
-  for (int k = 0; k < 8; ++k) {
-    double v = 0;
-    ASSERT_TRUE(cache.lookup(
-        Hasher("test_concurrent_miss").mix(k).digest(), &v));
-    EXPECT_EQ(v, k * 1.5);
-  }
-  cache.clear();
-}
-
-TEST(Hasher, DistinguishesBenchIdFieldsAndOrder) {
-  const auto d = [](Hasher h) { return h.digest(); };
-  // Same inputs, same key.
-  EXPECT_EQ(d(Hasher("a").mix(1).mix(2)), d(Hasher("a").mix(1).mix(2)));
-  // Different bench id, field value, or field order: different keys.
-  EXPECT_NE(d(Hasher("a").mix(1).mix(2)), d(Hasher("b").mix(1).mix(2)));
-  EXPECT_NE(d(Hasher("a").mix(1).mix(2)), d(Hasher("a").mix(1).mix(3)));
-  EXPECT_NE(d(Hasher("a").mix(1).mix(2)), d(Hasher("a").mix(2).mix(1)));
-  // String boundaries cannot alias: ("ab","c") != ("a","bc").
-  EXPECT_NE(d(Hasher("x").mix("ab").mix("c")),
-            d(Hasher("x").mix("a").mix("bc")));
-  // The key is independent of the caller's integer width.
-  EXPECT_EQ(d(Hasher("w").mix(static_cast<int>(5))),
-            d(Hasher("w").mix(static_cast<std::int64_t>(5))));
-  EXPECT_EQ(d(Hasher("w").mix(static_cast<std::size_t>(5))),
-            d(Hasher("w").mix(static_cast<short>(5))));
-}
-
 TEST(ThreadLocalState, HeapFallbackCounterIsPerThread) {
   // InlineAction's fallback counter is thread-local: a worker thread
   // spilling closures to the heap must not perturb this thread's counter
@@ -177,23 +109,17 @@ TEST(ThreadLocalState, HeapFallbackCounterIsPerThread) {
 }
 
 TEST(SweepDeterminism, Figure3SubSweepIsByteIdenticalSerialVsParallel) {
-  // The PR's core guarantee: the rendered Figure-3 table is byte-for-byte
+  // The core guarantee: the rendered Figure-3 table is byte-for-byte
   // identical whether the points were computed at --jobs 1 or --jobs 8.
-  // Cold cache both times so the parallel run really computes in parallel.
   const std::vector<std::size_t> sizes = {16, 512, 8192, 65536};
-  ResultCache& cache = ResultCache::instance();
-
-  cache.clear();
-  SweepRunner(1).run(spam::bench::fig3_points(sizes));
-  const std::string serial = spam::bench::fig3_table(sizes).render();
-
-  cache.clear();
-  SweepRunner(8).run(spam::bench::fig3_points(sizes));
-  const std::string parallel = spam::bench::fig3_table(sizes).render();
-
+  const std::string serial =
+      spam::bench::fig3_table(sizes, spam::bench::fig3_sweep(sizes, 1))
+          .render();
+  const std::string parallel =
+      spam::bench::fig3_table(sizes, spam::bench::fig3_sweep(sizes, 8))
+          .render();
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
-  cache.clear();
 }
 
 }  // namespace

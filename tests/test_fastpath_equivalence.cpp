@@ -77,8 +77,8 @@ TEST(FastpathEquivalence, Table2AmOverheads) {
   }
   EXPECT_EQ(bench::am_poll_empty_us(thin(false)),
             bench::am_poll_empty_us(thin(true)));
-  EXPECT_EQ(bench::am_poll_per_msg_us(thin(false)),
-            bench::am_poll_per_msg_us(thin(true)));
+  EXPECT_EQ(bench::am_poll_one_msg_us(thin(false)),
+            bench::am_poll_one_msg_us(thin(true)));
 }
 
 // --- Table 3 / Table 4: round-trip latencies, thin and wide nodes -----------

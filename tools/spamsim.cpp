@@ -28,7 +28,6 @@
 
 #include "apps/nas.hpp"
 #include "apps/splitc_apps.hpp"
-#include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -64,15 +63,15 @@ int usage() {
 }
 
 int run_fig3(const Args& a) {
-  // The full Figure 3 sweep: warm every (curve, size) point in parallel,
-  // then render the table from the cache.  Output is independent of --jobs.
+  // The full Figure 3 sweep: every (curve, size) point computed once in
+  // parallel, then rendered.  Output is independent of --jobs.
   std::vector<std::size_t> sizes = spam::bench::figure3_sizes();
   if (a.get("sizes", "full") == "quick") {
     sizes = {16, 512, 8192, 65536, 1u << 20};
   }
-  spam::driver::SweepRunner runner(static_cast<int>(a.num("jobs", 0)));
-  runner.run(spam::bench::fig3_points(sizes));
-  const std::string rendered = spam::bench::fig3_table(sizes).render();
+  const std::vector<double> mbps =
+      spam::bench::fig3_sweep(sizes, static_cast<int>(a.num("jobs", 0)));
+  const std::string rendered = spam::bench::fig3_table(sizes, mbps).render();
   std::fwrite(rendered.data(), 1, rendered.size(), stdout);
   return 0;
 }
