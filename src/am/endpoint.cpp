@@ -66,7 +66,6 @@ void Endpoint::wait_for_window(int dst, std::uint8_t channel,
 }
 
 SPAM_HOT void Endpoint::merge_empty_polls() {
-  if (!ctx_.engine().fastpath()) return;
   // Flush charge debt before sampling the adapter: the rx-ready state and
   // ready-time hints below are exact only at the node's virtual instant.
   ctx_.settle();
@@ -157,8 +156,8 @@ SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
   // The ack stamping and retransmit save below touch only this fiber's
   // state and do not read the clock, so running them before the
   // bookkeeping charge (instead of after) is unobservable; that lets the
-  // fast path hand the charge to host_enqueue as a merged lead_charge.
-  const sim::Time bookkeeping = sim::usec(params_.bookkeeping_us);
+  // charge ride host_enqueue's elapse as its lead_charge.
+  sim::Time lead = sim::usec(params_.bookkeeping_us);
   stamp_acks(pkt.dst, pkt);
   if (save) {
     if (pkt.chunk_idx == 0) {
@@ -172,17 +171,15 @@ SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
     tx.retrans.back().packets.push_back(pkt);
   }
   ++tx.packets_in_flight;
-  if (ctx_.engine().fastpath() && adapter_.host_send_free() >= 1) {
-    // FIFO space already available: free instants only move toward us, so
-    // the wait below would return without elapsing, and the bookkeeping
-    // charge can ride host_enqueue's merged elapse.
-    adapter_.host_enqueue(ctx_, std::move(pkt), doorbell_npackets,
-                          bookkeeping);
-    return;
+  if (adapter_.host_send_free() < 1) {
+    // FIFO full: charge the bookkeeping, then wait for an entry.  Space
+    // seen now cannot vanish before the enqueue (only this fiber fills the
+    // FIFO), so otherwise the bookkeeping rides the enqueue's elapse.
+    ctx_.elapse(lead);
+    wait_for_fifo_space(1);
+    lead = 0;
   }
-  ctx_.elapse(bookkeeping);
-  wait_for_fifo_space(1);
-  adapter_.host_enqueue(ctx_, std::move(pkt), doorbell_npackets);
+  adapter_.host_enqueue(ctx_, std::move(pkt), doorbell_npackets, lead);
 }
 
 SPAM_HOT void Endpoint::send_small(int dst, std::uint8_t channel, int handler,
@@ -503,7 +500,7 @@ void Endpoint::retransmit_from(int dst, std::uint8_t channel,
       // cost model, and this is the rare recovery path
       ctx_.elapse(sim::usec(params_.bookkeeping_us));
       wait_for_fifo_space(1);
-      adapter_.host_enqueue(ctx_, std::move(copy), /*ring_doorbell=*/false);
+      adapter_.host_enqueue(ctx_, std::move(copy), /*doorbell_npackets=*/0);
       ++in_batch;
     }
     if (in_batch > 0) adapter_.host_doorbell(ctx_, in_batch);

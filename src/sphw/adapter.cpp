@@ -68,47 +68,29 @@ SPAM_HOT void Tb2Adapter::host_enqueue(sim::NodeCtx& ctx, Packet pkt,
       ceil_us(entry_bytes * params_.host_write_us_per_byte +
               lines * params_.flush_line_us);
 
-  if (engine_.fastpath() && (lead_charge > 0 || doorbell_npackets > 0)) {
-    // Merge the caller's lead charge, the FIFO store, and (when ringing
-    // immediately) the doorbell's MicroChannel access into ONE elapse of
-    // the exact summed duration.  Every externally visible effect — the
-    // FIFO push is fiber-local, the submit happens at the doorbell
-    // instant — lands at the same virtual time as with split charges, so
-    // only the intermediate wake events disappear; count those as elided.
-    sim::Time total = lead_charge + store_cost;
-    std::int64_t merged = lead_charge > 0 ? 1 : 0;
-    if (doorbell_npackets > 0) {
-      total += ceil_us(params_.mc_access_us);
-      ++merged;
-    }
-    ctx.elapse(total);
-    engine_.note_elided(merged);
-    ++send_fifo_used_;
-    // spam-lint: capacity-ok (bounded by the send-FIFO depth; the deque
-    // keeps its chunks across the steady-state fill/drain cycle)
-    awaiting_doorbell_.push_back(std::move(pkt));
-    if (doorbell_npackets > 0) {
-      host_doorbell(ctx, doorbell_npackets, /*charge=*/false);
-    }
-    return;
-  }
-
-  if (lead_charge > 0) ctx.elapse(lead_charge);
-  ctx.elapse(store_cost);
+  // The caller's lead charge, the FIFO store and (when ringing now) the
+  // doorbell's MicroChannel access are one host operation, charged as ONE
+  // elapse of the summed cost: the FIFO push is fiber-local and the submit
+  // happens at the doorbell instant, so nothing observable lies between.
+  sim::Time total = lead_charge + store_cost;
+  if (doorbell_npackets > 0) total += ceil_us(params_.mc_access_us);
+  ctx.elapse(total);
   ++send_fifo_used_;
   // spam-lint: capacity-ok (bounded by the send-FIFO depth; the deque
   // keeps its chunks across the steady-state fill/drain cycle)
   awaiting_doorbell_.push_back(std::move(pkt));
-  if (doorbell_npackets > 0) host_doorbell(ctx, doorbell_npackets);
+  if (doorbell_npackets > 0) ring_doorbell(doorbell_npackets);
 }
 
-SPAM_HOT void Tb2Adapter::host_doorbell(sim::NodeCtx& ctx, int npackets,
-                                        bool charge) {
+SPAM_HOT void Tb2Adapter::host_doorbell(sim::NodeCtx& ctx, int npackets) {
+  // One store across the MicroChannel covers several length-array slots.
+  ctx.elapse(ceil_us(params_.mc_access_us));
+  ring_doorbell(npackets);
+}
+
+SPAM_HOT void Tb2Adapter::ring_doorbell(int npackets) {
   assert(npackets > 0 &&
          npackets <= static_cast<int>(awaiting_doorbell_.size()));
-  // One store across the MicroChannel covers several length-array slots
-  // (already folded into a merged host_enqueue elapse when !charge).
-  if (charge) ctx.elapse(ceil_us(params_.mc_access_us));
   ++stats_.doorbells;
   for (int i = 0; i < npackets; ++i) {
     submit_to_tx_pipeline(std::move(awaiting_doorbell_.front()));
@@ -301,7 +283,7 @@ SPAM_HOT void Tb2Adapter::deliver_from_switch(Packet pkt) {
 }
 
 SPAM_HOT sim::Time Tb2Adapter::host_rx_ready_time() const {
-  if (!engine_.fastpath() || !rx_queue_.empty()) return 0;
+  if (!rx_queue_.empty()) return 0;
   // Any per-hop traffic (in flight to the switch, or between its hop and
   // arrive events) could land before the fused front: no prediction.
   if (pending_slow_ > 0 || slow_arrivals_pending_ > 0) return 0;
@@ -341,24 +323,18 @@ SPAM_HOT Packet Tb2Adapter::host_rx_take(sim::NodeCtx& ctx,
   const sim::Time copy_cost =
       ceil_us(pkt.wire_bytes(params_) * params_.host_copy_us_per_byte);
 
-  if (engine_.fastpath() && tail_charge > 0 &&
-      pops_owed_ + 1 < params_.lazy_pop_batch) {
-    // Non-flush take: between the copy and the caller's handling charge
-    // nothing externally visible changes (pops_owed_ is adapter-internal),
-    // so one merged elapse of the exact sum reaches the same instant with
-    // one wake fewer.  Flush takes keep the split below so rx_fifo_used_
-    // drops at its per-hop instant, where in-flight arrivals can see it.
-    ++pops_owed_;
+  // Lazy pop: the entry is only returned to the adapter every
+  // lazy_pop_batch takes, costing one MicroChannel access.  A non-flush
+  // take changes nothing outside the adapter (pops_owed_ is internal), so
+  // the copy and the caller's handling are one elapse of the summed cost; a
+  // flush take splits them so rx_fifo_used_ drops at its own instant, where
+  // in-flight arrivals can see it.
+  if (++pops_owed_ < params_.lazy_pop_batch) {
     ctx.elapse(copy_cost + tail_charge);
-    engine_.note_elided(1);
     return pkt;
   }
-
   ctx.elapse(copy_cost);
-
-  // Lazy pop: the entry is only returned to the adapter every
-  // lazy_pop_batch takes, costing one MicroChannel access.
-  if (++pops_owed_ >= params_.lazy_pop_batch) host_rx_flush_pops(ctx);
+  host_rx_flush_pops(ctx);
   if (tail_charge > 0) ctx.elapse(tail_charge);
   return pkt;
 }

@@ -93,19 +93,15 @@ class Tb2Adapter {
   /// otherwise; plain senders pass 1).  Requires free space.
   ///
   /// `lead_charge` is a caller-side CPU cost (e.g. the AM layer's per-packet
-  /// bookkeeping) to charge immediately before the store.  Under the fast
-  /// path it is folded into one merged elapse together with the store and
-  /// (for an immediate doorbell) the MicroChannel access: nothing externally
-  /// visible happens at the intermediate instants, so the merged wake is
-  /// provably equivalent and the saved wakes are counted as elided.
+  /// bookkeeping) to charge immediately before the store.  The lead, the
+  /// store and (for an immediate doorbell) the MicroChannel access are one
+  /// host operation, charged as one elapse of the summed cost.
   void host_enqueue(sim::NodeCtx& ctx, Packet pkt, int doorbell_npackets = 1,
                     sim::Time lead_charge = 0);
 
   /// Stores the lengths of the `npackets` most recently enqueued (and not
-  /// yet doorbelled) packets with a single MicroChannel access.  `charge`
-  /// is false only when host_enqueue already folded the MicroChannel cost
-  /// into its merged elapse.
-  void host_doorbell(sim::NodeCtx& ctx, int npackets, bool charge = true);
+  /// yet doorbelled) packets with a single MicroChannel access.
+  void host_doorbell(sim::NodeCtx& ctx, int npackets);
 
   // --- Host receive side ---------------------------------------------------
 
@@ -126,11 +122,10 @@ class Tb2Adapter {
   /// lazy_pop_batch takes, which is when FIFO entries actually free up).
   ///
   /// `tail_charge` is a caller-side CPU cost (e.g. per-message handling)
-  /// charged immediately after the take.  On non-flush takes under the fast
-  /// path it merges with the copy into one elapse (no externally visible
-  /// state changes at the intermediate instant); flush takes keep the split
-  /// so the FIFO entries free at their exact per-hop instant, where
-  /// in-flight arrivals can observe them.
+  /// charged immediately after the take.  A non-flush take charges the copy
+  /// and the tail as one elapse (no externally visible state changes at the
+  /// intermediate instant); a flush take splits them so the FIFO entries
+  /// free at their own instant, where in-flight arrivals can observe them.
   Packet host_rx_take(sim::NodeCtx& ctx, sim::Time tail_charge = 0);
 
   /// Forces the lazy pop to flush now (frees all consumed entries).
@@ -186,6 +181,9 @@ class Tb2Adapter {
   int rx_fifo_occupied() const { return rx_fifo_used_; }
 
  private:
+  /// Submits the `npackets` oldest not-yet-doorbelled entries to the tx
+  /// pipeline (the doorbell store itself, already charged by the caller).
+  void ring_doorbell(int npackets);
   void submit_to_tx_pipeline(Packet pkt);
   void settle_send_fifo();
   /// The shared arrive body: FIFO-full check, enqueue, notify.  Runs at the

@@ -81,7 +81,7 @@ TEST(Adapter, BatchedDoorbellCostsOneAccess) {
     sim::World w(2);
     SpMachine m(w, params);
     w.spawn(0, [&](sim::NodeCtx& ctx) {
-      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*ring_doorbell=*/false);
+      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*doorbell_npackets=*/0);
       sim::Time before = ctx.now();
       m.adapter(0).host_doorbell(ctx, 1);
       t_one = ctx.now() - before;
@@ -97,7 +97,7 @@ TEST(Adapter, BatchedDoorbellCostsOneAccess) {
     SpMachine m(w, params);
     w.spawn(0, [&](sim::NodeCtx& ctx) {
       for (int i = 0; i < 8; ++i) {
-        m.adapter(0).host_enqueue(ctx, mk(1, 224), /*ring_doorbell=*/false);
+        m.adapter(0).host_enqueue(ctx, mk(1, 224), /*doorbell_npackets=*/0);
       }
       sim::Time before = ctx.now();
       m.adapter(0).host_doorbell(ctx, 8);
@@ -238,7 +238,7 @@ TEST(Adapter, BandwidthApproachesLinkRate) {
     for (int i = 0; i < total; ++i) {
       ctx.poll_until([&] { return m.adapter(0).host_send_space(); },
                      sim::usec(0.2));
-      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*ring_doorbell=*/false);
+      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*doorbell_npackets=*/0);
       if (++rung == 16) {
         m.adapter(0).host_doorbell(ctx, rung);
         rung = 0;

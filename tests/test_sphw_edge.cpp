@@ -152,7 +152,7 @@ TEST(SphwEdge, DoorbellCountTracksBatches) {
   SpMachine m(w, SpParams::thin_node());
   w.spawn(0, [&](sim::NodeCtx& ctx) {
     for (int i = 0; i < 6; ++i) {
-      m.adapter(0).host_enqueue(ctx, mk(1, 32), /*ring_doorbell=*/false);
+      m.adapter(0).host_enqueue(ctx, mk(1, 32), /*doorbell_npackets=*/0);
     }
     m.adapter(0).host_doorbell(ctx, 3);
     m.adapter(0).host_doorbell(ctx, 3);

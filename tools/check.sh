@@ -22,6 +22,11 @@
 #   app-bench      bench_app_perf --quick smoke; fails if steady-state
 #                  allocations are nonzero or any Table 5/6 app's virtual
 #                  result differs between the local-clock modes
+#   perfbench      perfbench/run.py --ablation at seed 42; fails if any
+#                  workload's pinned virtual results move in the default
+#                  mode or either reference mode (network_fastpath=false,
+#                  local_clock=false); wall-time columns are printed only
+#                  (table left in build-rwdi/perfbench_ablation.md)
 #   asan           -fsanitize=address build + full suite
 #   ubsan          -fsanitize=undefined (no recovery) build + full suite
 #   tsan           ThreadSanitizer build + the `driver` label tests
@@ -152,6 +157,26 @@ if ! skipped app-bench; then
   # The microbenchmark virtual anchors (51.3418 us RTT, 34.2020 MB/s) are
   # checked by the bench stage above, whose default run already has the
   # local clock engaged — no separate anchor pass is needed here.
+fi
+
+if ! skipped perfbench; then
+  note "perfbench --ablation (golden virtual results in all three modes)"
+  mkdir -p build-rwdi
+  ABLATION=build-rwdi/perfbench_ablation.md
+  python3 perfbench/run.py --ablation --seed 42 --seconds 1 | tee "$ABLATION"
+  # Rows: | workload | mode | p1 | p50 | exec/pkt | switches/pkt |
+  # elided/pkt | failed |.  Only the last column is judged: it counts the
+  # repetitions whose virtual results missed their seed-42 golden pins.
+  row='^[|] [a-z_]+ [|] (default|[a-z_]+=false) [|]'
+  rows=$(grep -Ec "$row" "$ABLATION" || true)
+  bad=$(awk -F'|' -v row="$row" \
+    '$0 ~ row { line = $0; gsub(/ /, "", $9); if ($9 != "0") print line }' \
+    "$ABLATION")
+  if [ "$rows" -eq 0 ] || [ -n "$bad" ]; then
+    echo "perfbench gate: ${rows} rows; failed checks in:"
+    echo "$bad"
+    exit 1
+  fi
 fi
 
 if ! skipped asan; then
