@@ -54,11 +54,11 @@ HarnessOptions& options() {
   return opts;
 }
 
-void harness_init(int argc, char** argv, const char* extra_usage) {
+void harness_init(int argc, char** argv) {
   HarnessOptions& o = options();
   const auto usage = [&] {
-    std::fprintf(stderr, "usage: %s [--jobs N] [--quick] [--out <path>]%s%s\n",
-                 argv[0], *extra_usage != '\0' ? " " : "", extra_usage);
+    std::fprintf(stderr, "usage: %s [--jobs N] [--quick] [--out <path>]\n",
+                 argv[0]);
     std::exit(2);
   };
   for (int i = 1; i < argc; ++i) {

@@ -41,9 +41,8 @@ HarnessOptions& options();
 
 /// Parses --jobs N|--jobs=N (an integer >= 0), --quick and --out P|--out=P.
 /// Any other argument, or a malformed value, prints usage to stderr and
-/// exits with status 2.  `extra_usage` names flags the caller already
-/// stripped from argv, for the usage line.
-void harness_init(int argc, char** argv, const char* extra_usage = "");
+/// exits with status 2.
+void harness_init(int argc, char** argv);
 
 /// Runs every point once across options().jobs threads; slot [i] holds
 /// points[i]()'s value.  Points must be independent (one World per

@@ -115,7 +115,7 @@ SPAM_HOT void Engine::drain_bucket(std::uint64_t b) {
   while (n != nullptr) {
     Node* next = n->next_free;
     // spam-lint: capacity-ok (run_ keeps its high-water capacity; steady
-    // state never reallocates, which bench_host_perf asserts)
+    // state never reallocates, which tests/test_host_counts.cpp asserts)
     run_.push_back(n);
     n = next;
   }
@@ -193,7 +193,7 @@ SPAM_HOT void Engine::at(Time t, Action fn) {
   }
   // Same-bucket-as-now or beyond the window: the heap takes it.
   // spam-lint: capacity-ok (heap_ keeps its high-water capacity; steady
-  // state never reallocates, which bench_host_perf asserts)
+  // state never reallocates, which tests/test_host_counts.cpp asserts)
   heap_.push_back(n);
   sift_up(heap_.size() - 1);
 }

@@ -90,8 +90,8 @@ class Engine {
 
   /// Enables/disables the node-local virtual clocks (deferred compute
   /// charging, src/sim/world.cpp).  Independent of the network fast path
-  /// so the two shortcuts can be compared in isolation; benches flip it
-  /// off via --no-localclock for the dual-mode comparison.
+  /// so the two shortcuts can be compared in isolation; perfbench
+  /// --ablation and tests/test_mode_equivalence.cpp flip it off.
   void set_localclock(bool on) { localclock_ = on; }
   bool localclock() const { return localclock_; }
 

@@ -187,8 +187,9 @@ inline Time NodeCtx::now() {
 }
 
 // Under the production local-clock regime charge() only accrues debt; the
-// elapse() below is the --no-localclock diagnostic fallback, which no
-// inline-handler build enables.  spam-lint: never-suspends
+// elapse() below is the local_clock = false reference mode (perfbench
+// --ablation and the equivalence suite), which no inline-handler build
+// enables.  spam-lint: never-suspends
 inline void NodeCtx::charge(Time d) {
   assert(Fiber::current() == fiber_ && "charge() must run on the node fiber");
   if (!engine().localclock()) {

@@ -56,14 +56,16 @@ struct SpParams {
   /// fused delivery event instead of the per-hop chain, and idle elapses
   /// skip the wake timer.  Arrival times are bit-identical by construction
   /// (same sim::Time arithmetic, same order of additions); flip off to run
-  /// the reference per-hop simulation (bench --no-fastpath does this).
+  /// the reference per-hop simulation (perfbench --ablation and
+  /// tests/test_mode_equivalence.cpp do this).
   bool network_fastpath = true;
 
   /// Node-local virtual clocks: NodeCtx::charge() defers compute charges
   /// into a per-node debt ledger, settled as one engine sleep at the next
   /// interaction point (communication, suspend, trace, cross-node now()).
   /// Virtual times are bit-identical by construction; flip off to force
-  /// every charge through the engine (bench --no-localclock does this).
+  /// every charge through the engine (perfbench --ablation and
+  /// tests/test_mode_equivalence.cpp do this).
   /// Independent of network_fastpath so the shortcuts compare in
   /// isolation.
   bool local_clock = true;

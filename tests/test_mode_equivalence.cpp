@@ -328,25 +328,53 @@ EQUIVALENCE_CASE(Table6NasKernels) {
 // wake and another node's packet.  Every run of the series must still be
 // identical in all three modes.
 
-TEST(ModeEquivalence, ReusedSplitCWorldRadixSorts) {
-  auto series = [](Mode m) {
-    splitc::SplitCConfig cfg = splitc_cfg(m);
-    cfg.seed = 42;
-    splitc::SplitCWorld w(cfg);
-    std::vector<apps::PhaseTimes> out;
-    for (int run = 0; run < 2; ++run) {
-      out.push_back(apps::run_radix_sort(
-          w, 1024, apps::SortVariant::kSmallMessage, /*seed=*/42));
-    }
-    return out;
+// Each Table 5 app runs three times in one world per mode: the sorts at
+// 1 K and 8 K keys, matmul at two block sizes.
+TEST(ModeEquivalence, ReusedSplitCWorldApps) {
+  using apps::SortVariant;
+  using App = std::function<apps::PhaseTimes(splitc::SplitCWorld&)>;
+  struct Input {
+    std::string name;
+    App run;
   };
-  const std::vector<apps::PhaseTimes> def = series(kDefault);
-  for (Mode ref : {kPerHop, kPerCharge}) {
-    const std::vector<apps::PhaseTimes> got = series(ref);
-    ASSERT_EQ(got.size(), def.size());
-    for (std::size_t i = 0; i < def.size(); ++i) {
-      expect_phase_equal(got[i], def[i],
-                         "sort " + std::to_string(i) + " " + name(ref));
+  std::vector<Input> inputs;
+  for (std::size_t keys : {std::size_t{1024}, std::size_t{8192}}) {
+    for (SortVariant v : {SortVariant::kSmallMessage, SortVariant::kBulk}) {
+      const std::string suffix =
+          (v == SortVariant::kBulk ? "_bulk " : "_small ") +
+          std::to_string(keys);
+      inputs.push_back({"rdxsort" + suffix, [=](splitc::SplitCWorld& w) {
+                          return apps::run_radix_sort(w, keys, v, 42);
+                        }});
+      inputs.push_back({"smpsort" + suffix, [=](splitc::SplitCWorld& w) {
+                          return apps::run_sample_sort(w, keys, v, 42);
+                        }});
+    }
+  }
+  for (int bd : {16, 32}) {
+    inputs.push_back({"mm bd " + std::to_string(bd),
+                      [=](splitc::SplitCWorld& w) {
+                        return apps::run_matmul(w, /*nb=*/4, bd);
+                      }});
+  }
+  for (const Input& in : inputs) {
+    auto series = [&](Mode m) {
+      splitc::SplitCConfig cfg = splitc_cfg(m);
+      cfg.seed = 42;
+      splitc::SplitCWorld w(cfg);
+      std::vector<apps::PhaseTimes> out;
+      for (int run = 0; run < 3; ++run) out.push_back(in.run(w));
+      return out;
+    };
+    const std::vector<apps::PhaseTimes> def = series(kDefault);
+    for (Mode ref : {kPerHop, kPerCharge}) {
+      const std::vector<apps::PhaseTimes> got = series(ref);
+      ASSERT_EQ(got.size(), def.size());
+      for (std::size_t i = 0; i < def.size(); ++i) {
+        expect_phase_equal(got[i], def[i],
+                           in.name + " run " + std::to_string(i) + " " +
+                               name(ref));
+      }
     }
   }
 }
