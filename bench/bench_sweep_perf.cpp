@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   const bool identical = serial_render == parallel_render;
   const double speedup = parallel_s > 0 ? serial_s / parallel_s : 0.0;
   // On a 1-core host the two-thread run can only time-slice, so "speedup"
-  // is informational (thread-pool overhead), not a parallelism regression.
+  // is informational (thread start-up overhead), not a parallelism regression.
   const bool gated_by_cores = host_cores == 1;
 
   std::fwrite(parallel_render.data(), 1, parallel_render.size(), stdout);

@@ -448,7 +448,6 @@ bool Endpoint::try_send_next_chunk(int dst, std::uint8_t channel,
   stats_.bulk_bytes_sent += chunk;
 
   op.sent += chunk;
-  op.packets_emitted = true;
   if (op_ends) {
     // spam-lint: capacity-ok — drained by poll() each pass; bounded by ops
     // in flight, steady-state capacity sticks after the first ramp

@@ -185,9 +185,6 @@ class Endpoint {
     int handler = 0;                  // remote bulk handler
     Word arg = 0;
     std::uint32_t cookie = 0;         // get-return correlation id (0 = store)
-    std::uint32_t last_chunk_seq = 0; // filled as chunks are assigned
-    bool packets_emitted = false;     // true once any packet went out
-    bool fully_enqueued = false;
     CompletionFn complete;            // local completion (may be empty)
   };
 
@@ -227,10 +224,6 @@ class Endpoint {
   int window_for(std::uint8_t channel) const {
     return channel == kChanRequest ? params_.request_window_packets
                                    : params_.reply_window_packets;
-  }
-  std::size_t chunk_bytes() const {
-    return static_cast<std::size_t>(params_.chunk_packets) *
-           static_cast<std::size_t>(adapter_.params().packet_data_bytes);
   }
 
   // Send paths.

@@ -250,11 +250,20 @@ void expect_phase_equal(const apps::PhaseTimes& ref,
 }
 
 EQUIVALENCE_CASE(Table5SplitCApps) {
-  auto run = [](Mode m) {
-    splitc::SplitCWorld w(splitc_cfg(m));
-    return apps::run_matmul(w, /*nb=*/4, /*bd=*/16);
+  // nb 2, bd 96 fills the send FIFO, so it also covers the AM layer's
+  // merged FIFO-space wait (Endpoint::wait_for_fifo_space).
+  struct Matmul {
+    int nb, bd;
   };
-  expect_phase_equal(run(ref), run(kDefault), "matmul");
+  for (const Matmul mm : {Matmul{4, 16}, Matmul{2, 96}}) {
+    auto run = [&](Mode m) {
+      splitc::SplitCWorld w(splitc_cfg(m));
+      return apps::run_matmul(w, mm.nb, mm.bd);
+    };
+    expect_phase_equal(run(ref), run(kDefault),
+                       "matmul nb " + std::to_string(mm.nb) + " bd " +
+                           std::to_string(mm.bd));
+  }
   for (auto variant :
        {apps::SortVariant::kSmallMessage, apps::SortVariant::kBulk}) {
     auto sample = [&](Mode m) {

@@ -1,7 +1,8 @@
 // Unit tests for the discrete-event engine: ordering, determinism, clamping.
 #include <gtest/gtest.h>
 
-#include <algorithm>\n#include <string>
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"

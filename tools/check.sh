@@ -25,14 +25,14 @@
 #                  (table left in build-rwdi/perfbench_ablation.md)
 #   asan           -fsanitize=address build + full suite
 #   ubsan          -fsanitize=undefined (no recovery) build + full suite
-#   tsan           ThreadSanitizer build + the `driver` label tests
-#   thread-safety  Clang -Werror=thread-safety build (skipped when clang++
-#                  is not installed)
+#   tsan           ThreadSanitizer build + the `driver` label tests (the
+#                  race check for driver::SweepRunner's worker threads)
 #   clang-tidy     .clang-tidy over src/ and tools/ (skipped when
 #                  clang-tidy is not installed)
 #
-# Toolchain-gated stages *skip with a notice* rather than fail so the gate
-# is runnable on a gcc-only box; CI images with clang get full coverage.
+# The toolchain-gated stage (clang-tidy) *skips with a notice* rather than
+# fails so the gate is runnable on a gcc-only box; CI images with
+# clang-tidy get full coverage.
 # Any stage that runs and fails aborts the script with a nonzero exit.
 set -euo pipefail
 
@@ -137,16 +137,6 @@ fi
 if ! skipped tsan; then
   note "ThreadSanitizer build + driver tests"
   run_preset_suite tsan tsan-driver
-fi
-
-if ! skipped thread-safety; then
-  if command -v clang++ >/dev/null 2>&1; then
-    note "Clang -Werror=thread-safety build"
-    cmake --preset thread-safety >/dev/null
-    cmake --build --preset thread-safety -j "$JOBS"
-  else
-    note "thread-safety: clang++ not installed, skipping"
-  fi
 fi
 
 if ! skipped clang-tidy; then
