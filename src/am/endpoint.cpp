@@ -129,26 +129,8 @@ bool Endpoint::have_unacked_retrans() const {
 void Endpoint::wait_for_fifo_space(int needed) {
   // The adapter drains the send FIFO autonomously (DMA), so plain waiting
   // is enough and safe to use even while nested inside poll().
-  //
-  // Fast path: FIFO-free instants are fixed at submit time, so every poll
-  // sample strictly before the adapter's ready hint must read false — fuse
-  // those definitely-false quanta into one elapse of identical total
-  // virtual time (k quanta) and count the merged wake timers as elided.
-  const sim::Time quantum = sim::usec(0.5);
-  for (;;) {
-    if (adapter_.host_send_free() >= needed) return;
-    const sim::Time ready = adapter_.send_free_ready_time(needed);
-    const sim::Time now = ctx_.now();
-    if (ready > now + quantum) {
-      const sim::Time k = (ready - now - 1) / quantum;
-      // spam-lint: charge-ok — k polls elided into one batched sleep
-      ctx_.elapse(k * quantum);
-      ctx_.engine().note_elided(static_cast<std::int64_t>(k) - 1);
-    }
-    // spam-lint: charge-ok — one quantum per residual probe; the batch
-    // above already collapsed the predictable part of the wait
-    ctx_.elapse(quantum);
-  }
+  // spam-lint: charge-ok — one poll quantum per probe of the FIFO
+  while (adapter_.host_send_free() < needed) ctx_.elapse(sim::usec(0.5));
 }
 
 SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,

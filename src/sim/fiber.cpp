@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <utility>
 
 #if defined(SPAM_SIM_TSAN_FIBERS)
@@ -31,9 +32,12 @@ void Fiber::tsan_destroy() {
 #endif
 
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
-             std::string name)
+             std::string name, std::unique_ptr<char[]> stack)
     : body_(std::move(body)),
-      stack_(new char[stack_bytes]),
+      // Uninitialized on purpose: a stack's pages stay unbacked until the
+      // fiber first touches them.
+      stack_(stack ? std::move(stack)
+                   : std::make_unique_for_overwrite<char[]>(stack_bytes)),
       stack_bytes_(stack_bytes),
       name_(std::move(name)) {}
 
@@ -42,6 +46,12 @@ Fiber::~Fiber() {
   // teardown after a detected deadlock or a run_until() timeout must not
   // require unwinding parked programs.
   tsan_destroy();
+}
+
+std::unique_ptr<char[]> Fiber::take_stack() {
+  assert((state_ == State::kFinished || state_ == State::kCreated) &&
+         "a running or suspended fiber still lives on its stack");
+  return std::move(stack_);
 }
 
 Fiber* Fiber::current() { return g_current; }

@@ -25,8 +25,8 @@
 // Under ThreadSanitizer the manual stack switches must be announced via the
 // sanitizer fiber API, or TSan's shadow stack diverges from reality at the
 // first switch (crashes and phantom races).  The annotations also give each
-// fiber its own happens-before context, so the driver's thread pool can run
-// whole Worlds-with-fibers concurrently under TSan.
+// fiber its own happens-before context, so driver::SweepRunner's worker
+// threads can run whole Worlds-with-fibers concurrently under TSan.
 #if defined(__SANITIZE_THREAD__)
 #define SPAM_SIM_TSAN_FIBERS 1
 #elif defined(__has_feature)
@@ -52,10 +52,13 @@ class Fiber {
 
   /// Creates a fiber that will execute `body` on first resume().
   /// `stack_bytes` must comfortably hold the deepest call chain of the
-  /// simulated program; application arrays belong on the heap.
+  /// simulated program; application arrays belong on the heap.  `stack`,
+  /// when given, is a reused allocation of exactly `stack_bytes` bytes
+  /// (see take_stack()); otherwise a fresh one is allocated.
   explicit Fiber(std::function<void()> body,
                  std::size_t stack_bytes = 512 * 1024,
-                 std::string name = {});
+                 std::string name = {},
+                 std::unique_ptr<char[]> stack = nullptr);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -80,6 +83,11 @@ class Fiber {
   State state() const { return state_; }
   bool finished() const { return state_ == State::kFinished; }
   const std::string& name() const { return name_; }
+
+  /// Hands the stack of a finished (or never started) fiber to the caller
+  /// for reuse by a later fiber of the same stack size.  Nothing of the
+  /// fiber lives on it any more; the fiber must not be resumed again.
+  std::unique_ptr<char[]> take_stack();
 
  private:
   void run_body();

@@ -9,6 +9,9 @@ namespace spam::sim {
 
 namespace {
 
+// Every node fiber's stack; one size, so any reaped stack fits any node.
+constexpr std::size_t kStackBytes = 512 * 1024;
+
 // Marks `node` as the running node for the dynamic extent of a
 // fiber_->resume() call, restoring the previous value (the main context's
 // nullptr) when the fiber yields back.
@@ -33,7 +36,8 @@ void settle_running_node() {
 }  // namespace
 
 void NodeCtx::elapse(Time d) {
-  assert(Fiber::current() == fiber_ && "elapse() must run on the node fiber");
+  assert(Fiber::current() == fiber_.get() &&
+         "elapse() must run on the node fiber");
   if (debt_ != 0 || debt_charges_ != 0) {
     // Fold the charge ledger into this sleep: same uint64-ns additions in
     // the same order as per-call elapses, so the wake instant is
@@ -66,7 +70,8 @@ void NodeCtx::elapse(Time d) {
 }
 
 void NodeCtx::suspend() {
-  assert(Fiber::current() == fiber_ && "suspend() must run on the node fiber");
+  assert(Fiber::current() == fiber_.get() &&
+         "suspend() must run on the node fiber");
   // Settle before looking at the latch: resumer calls riding on events up
   // to this node's virtual instant must land first, exactly as they would
   // have during the per-call path's final elapse.
@@ -122,6 +127,12 @@ void World::spawn(int rank, Program program) {
   if (rank < 0 || rank >= size()) {
     throw std::out_of_range("World::spawn: bad rank");
   }
+  bool busy = nodes_[rank]->busy();
+  for (const auto& p : pending_) busy = busy || p.first == rank;
+  if (busy) {
+    throw std::logic_error("World::spawn: node" + std::to_string(rank) +
+                           " already has a program");
+  }
   pending_.emplace_back(rank, std::move(program));
 }
 
@@ -129,24 +140,42 @@ void World::spawn_all(Program program) {
   for (int r = 0; r < size(); ++r) spawn(r, program);
 }
 
+std::size_t World::fiber_stacks() const {
+  std::size_t n = free_stacks_.size();
+  for (const auto& node : nodes_) n += node->fiber_ != nullptr ? 1 : 0;
+  return n;
+}
+
 void World::launch_pending() {
+  // Reap finished programs first so their stacks serve this launch.  A
+  // late resumer of a reaped program finds fiber_ == nullptr and does
+  // nothing, exactly as it did for the finished fiber.
+  for (auto& node : nodes_) {
+    if (node->fiber_ != nullptr && node->fiber_->finished()) {
+      free_stacks_.push_back(node->fiber_->take_stack());
+      node->fiber_.reset();
+    }
+  }
   for (auto& [rank, program] : pending_) {
     NodeCtx& ctx = *nodes_[rank];
-    auto fiber = std::make_unique<Fiber>(
+    std::unique_ptr<char[]> stack;
+    if (!free_stacks_.empty()) {
+      stack = std::move(free_stacks_.back());
+      free_stacks_.pop_back();
+    }
+    ctx.fiber_ = std::make_unique<Fiber>(
         [&ctx, prog = std::move(program)] {
           prog(ctx);
           // A program that ends mid-charge still owes its CPU time: the
           // node's completion instant must match the per-call path.
           ctx.settle();
         },
-        512 * 1024, "node" + std::to_string(rank));
-    ctx.fiber_ = fiber.get();
-    Fiber* f = fiber.get();
+        kStackBytes, "node" + std::to_string(rank), std::move(stack));
+    Fiber* f = ctx.fiber_.get();
     engine_.at(engine_.now(), [f, &ctx] {
       RunningNodeGuard guard(&ctx);
       f->resume();
     });
-    fibers_.push_back(std::move(fiber));
   }
   pending_.clear();
 }
@@ -154,10 +183,10 @@ void World::launch_pending() {
 void World::check_finished() {
   std::ostringstream stuck;
   int n_stuck = 0;
-  for (std::size_t i = 0; i < fibers_.size(); ++i) {
-    if (!fibers_[i]->finished()) {
+  for (const auto& node : nodes_) {
+    if (node->busy()) {
       if (n_stuck++) stuck << ", ";
-      stuck << fibers_[i]->name();
+      stuck << node->fiber_->name();
     }
   }
   if (n_stuck > 0) {
@@ -176,8 +205,8 @@ void World::run() {
 bool World::run_until(Time deadline) {
   launch_pending();
   engine_.run_until(deadline);
-  for (const auto& f : fibers_) {
-    if (!f->finished()) return false;
+  for (const auto& node : nodes_) {
+    if (node->busy()) return false;
   }
   return true;
 }

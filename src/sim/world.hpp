@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,7 +91,9 @@ class NodeCtx {
   /// call from engine events or from any fiber (fiber calls are deferred
   /// through an engine event so fibers never switch to each other
   /// directly).  Does NOT interrupt elapse(): charged CPU time is
-  /// indivisible.
+  /// indivisible.  The resumer names this node, not the calling program:
+  /// once that program is reaped it acts on the node's current program,
+  /// or does nothing while the node has none.
   std::function<void()> make_resumer();
 
   /// Spins until `done()` returns true, charging `poll_cost` per check.
@@ -111,10 +114,15 @@ class NodeCtx {
   friend class World;
   enum class SleepState { kRunning, kElapsing, kWaiting };
 
+  // True while this node's program is launched and not finished.
+  bool busy() const { return fiber_ != nullptr && !fiber_->finished(); }
+
   World* world_;
   int rank_;
   Rng rng_;
-  Fiber* fiber_ = nullptr;  // owned by World
+  // The node's current program; nullptr before the first launch and once
+  // World has reaped it.
+  std::unique_ptr<Fiber> fiber_;
   SleepState sleep_state_ = SleepState::kRunning;
   bool wake_pending_ = false;
   // Local virtual clock: CPU time charged but not yet materialized as an
@@ -149,6 +157,8 @@ class World {
   using Program = std::function<void(NodeCtx&)>;
 
   /// Assigns a program to one node (fiber starts when run() is called).
+  /// A node runs one program at a time: throws std::logic_error if `rank`
+  /// already has a pending program or one that has not finished.
   void spawn(int rank, Program program);
 
   /// Assigns the same program to every node.
@@ -163,6 +173,12 @@ class World {
   /// Returns true if all programs finished.
   bool run_until(Time deadline);
 
+  /// Fiber stacks this World owns: one per fiber not yet reaped plus the
+  /// free list.  A finished fiber is reaped at the next launch and its
+  /// stack reused, so a reused World holds at most one stack per node that
+  /// ran a program.
+  std::size_t fiber_stacks() const;
+
  private:
   void launch_pending();
   void check_finished();
@@ -170,7 +186,7 @@ class World {
   Engine engine_;
   Rng root_rng_;
   std::vector<std::unique_ptr<NodeCtx>> nodes_;
-  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<std::unique_ptr<char[]>> free_stacks_;  // of reaped fibers
   std::vector<std::pair<int, Program>> pending_;
 };
 
@@ -191,7 +207,8 @@ inline Time NodeCtx::now() {
 // --ablation and the equivalence suite), which no inline-handler build
 // enables.  spam-lint: never-suspends
 inline void NodeCtx::charge(Time d) {
-  assert(Fiber::current() == fiber_ && "charge() must run on the node fiber");
+  assert(Fiber::current() == fiber_.get() &&
+         "charge() must run on the node fiber");
   if (!engine().localclock()) {
     elapse(d);
     return;

@@ -38,18 +38,6 @@ SPAM_HOT void Tb2Adapter::settle_send_fifo() {
   }
 }
 
-SPAM_HOT sim::Time Tb2Adapter::send_free_ready_time(int needed) {
-  settle_send_fifo();
-  const int deficit = needed - (params_.send_fifo_entries - send_fifo_used_);
-  if (deficit <= 0) return 0;  // already satisfied
-  if (static_cast<std::size_t>(deficit) > fifo_free_at_.size()) {
-    // Some needed entries have no scheduled free instant (per-hop mode, or
-    // packets the host has not doorbelled): no hint.
-    return 0;
-  }
-  return fifo_free_at_[static_cast<std::size_t>(deficit) - 1];
-}
-
 SPAM_HOT void Tb2Adapter::host_enqueue(sim::NodeCtx& ctx, Packet pkt,
                               int doorbell_npackets, sim::Time lead_charge) {
   assert(doorbell_npackets >= 0);

@@ -77,14 +77,6 @@ class Tb2Adapter {
     return params_.send_fifo_entries - send_fifo_used_;
   }
 
-  /// Fast-path polling hint: the earliest instant at which
-  /// `host_send_free() >= needed` *can* become true.  FIFO-free instants
-  /// are fixed when packets are submitted and nothing can advance them, so
-  /// any poll sampled strictly before the returned time must read false.
-  /// Returns 0 when the condition already holds or no hint is available
-  /// (per-hop mode, or entries still waiting on the host itself).
-  sim::Time send_free_ready_time(int needed);
-
   /// Writes `pkt` into the next send-FIFO entry: charges the store and
   /// cache-flush costs.  If `doorbell_npackets > 0`, follows up with
   /// host_doorbell(doorbell_npackets) — one MicroChannel access covering

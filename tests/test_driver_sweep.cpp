@@ -1,14 +1,15 @@
 // SweepRunner: slot-ordered aggregation under adversarial job durations,
-// deterministic exception selection, and the serial-vs-parallel
-// determinism guarantee on a real Figure-3 sub-sweep.  TSan-clean by design (the
-// `tsan` CMake preset runs everything labelled `driver` under
-// ThreadSanitizer).
+// deterministic exception selection, fiber reaping and stack reuse on
+// worker threads, and the serial-vs-parallel determinism guarantee on a
+// real Figure-3 sub-sweep.  TSan-clean by design (the `tsan` CMake preset
+// runs everything labelled `driver` under ThreadSanitizer).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "sim/action.hpp"
+#include "sim/world.hpp"
 
 namespace {
 
@@ -160,6 +162,51 @@ TEST(SweepRunner, FailedSweepLeavesTheRunnerUsable) {
   EXPECT_NO_THROW(
       runner.run_indexed(20, [&](std::size_t) { executed.fetch_add(1); }));
   EXPECT_EQ(executed.load(), 40);
+}
+
+TEST(SweepRunner, WorkerThreadsReapAndReuseFiberStacks) {
+  // Each point runs four programs per node one after another in one World,
+  // so every launch after the first reaps finished fibers (destroying
+  // their TSan fibers under the tsan preset) and reuses their stacks on a
+  // worker thread.  A suspend/wake pair makes each program switch fibers
+  // both ways.  Results must match a serial run.
+  struct Point {
+    spam::sim::Time end = 0;
+    std::size_t stacks = 0;
+    bool operator==(const Point&) const = default;
+  };
+  constexpr int kNodes = 3;
+  constexpr int kPrograms = 4;
+  std::vector<std::function<Point()>> points;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    points.push_back([seed] {
+      spam::sim::World w(kNodes, seed);
+      std::function<void()> wake0;
+      for (int p = 0; p < kPrograms; ++p) {
+        w.spawn(0, [&](spam::sim::NodeCtx& ctx) {
+          wake0 = ctx.make_resumer();
+          ctx.suspend();
+        });
+        for (int r = 1; r < kNodes; ++r) {
+          w.spawn(r, [&](spam::sim::NodeCtx& ctx) {
+            ctx.elapse(1 + ctx.rng().next_below(100));
+            if (ctx.rank() == kNodes - 1) wake0();
+          });
+        }
+        w.run();
+      }
+      return Point{w.engine().now(), w.fiber_stacks()};
+    });
+  }
+  const std::vector<Point> serial = SweepRunner(1).run(points);
+  const std::vector<Point> parallel = SweepRunner(4).run(points);
+  ASSERT_EQ(parallel.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(parallel[i].stacks, static_cast<std::size_t>(kNodes))
+        << "point " << i;
+    EXPECT_GT(parallel[i].end, 0u) << "point " << i;
+  }
+  EXPECT_TRUE(serial == parallel);
 }
 
 TEST(ThreadLocalState, HeapFallbackCounterIsPerThread) {

@@ -11,14 +11,17 @@
 //     paper anchor (51.3418 us round trip, 34.2020 MB/s; see
 //     PaperAnchors below);
 //   - zero growth of the engine's event-node pool, InlineAction heap
-//     fallbacks and the payload arena over the batch: steady state never
-//     allocates.
+//     fallbacks, the payload arena and the World's fiber stacks over the
+//     batch: steady state never allocates.  The app rows launch a fiber
+//     per node inside the batch, so the stack pin holds only because a
+//     finished fiber's stack is reused.
 //
 // Wall time is not judged here; perfbench measures it per packet next to
 // these same counts.  After an intended change to a count, update its row.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -62,6 +65,7 @@ class Batch {
         << "InlineAction fell back to the heap";
     EXPECT_EQ(s.payload_buffers, begin_.payload_buffers)
         << "payload arena grew";
+    EXPECT_EQ(s.fiber_stacks, begin_.fiber_stacks) << "fiber stacks grew";
     return {s.events - begin_.events, s.switches - begin_.switches,
             s.packets - begin_.packets, virt_ns};
   }
@@ -70,10 +74,12 @@ class Batch {
   struct Snapshot {
     std::uint64_t events, switches, packets;
     std::uint64_t event_nodes, heap_actions, payload_buffers;
+    std::size_t fiber_stacks;
   };
 
   Snapshot take() const {
-    sim::Engine& engine = machine_.world().engine();
+    sim::World& world = machine_.world();
+    sim::Engine& engine = world.engine();
     std::uint64_t packets = 0;
     for (int n = 0; n < machine_.size(); ++n) {
       packets += machine_.adapter(n).stats().tx_packets;
@@ -81,7 +87,8 @@ class Batch {
     const sim::Engine::PoolStats pool = engine.pool_stats();
     return {engine.events_executed(), sim::Fiber::resume_count(), packets,
             pool.nodes_allocated, pool.action_heap_fallbacks,
-            sphw::PayloadPool::instance().stats().buffers_allocated};
+            sphw::PayloadPool::instance().stats().buffers_allocated,
+            world.fiber_stacks()};
   }
 
   sphw::SpMachine& machine_;

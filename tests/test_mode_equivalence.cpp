@@ -251,7 +251,8 @@ void expect_phase_equal(const apps::PhaseTimes& ref,
 
 EQUIVALENCE_CASE(Table5SplitCApps) {
   // nb 2, bd 96 fills the send FIFO, so it also covers the AM layer's
-  // merged FIFO-space wait (Endpoint::wait_for_fifo_space).
+  // FIFO-space wait (Endpoint::wait_for_fifo_space) against the lazily
+  // freed FIFO entries of the fast path.
   struct Matmul {
     int nb, bd;
   };

@@ -2,6 +2,9 @@
 // deadlock detection, determinism.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -215,6 +218,106 @@ TEST(LocalClock, EventLedgerMatchesPerChargeMode) {
     return w.engine().events_simulated();
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// --- Fiber lifecycle: finished fibers are reaped, their stacks reused --------
+
+TEST(FiberLifecycle, ReusedWorldKeepsOneStackPerNode) {
+  World w(4);
+  Time last = 0;
+  for (int round = 0; round < 100; ++round) {
+    w.spawn_all([&](NodeCtx& ctx) {
+      ctx.elapse(10 + static_cast<Time>(ctx.rank()));
+      last = ctx.now();
+    });
+    w.run();
+    ASSERT_EQ(w.fiber_stacks(), 4u) << "round " << round;
+  }
+  EXPECT_EQ(last, 100u * 13u);
+}
+
+TEST(FiberLifecycle, StaleResumerActsOnTheNodesCurrentProgram) {
+  // A resumer names a node, not a program: made by a finished program and
+  // called after the next launch, it wakes or latches the node's new
+  // program, and does nothing while the node has none.
+  World w(2);
+  std::function<void()> stale;
+  w.spawn(0, [&](NodeCtx& ctx) { stale = ctx.make_resumer(); });
+  w.run();
+
+  // Wake: node 0's first fiber is reaped at this launch; the stale resumer,
+  // called from node 1, wakes node 0's second program out of suspend().
+  Time woke = 0;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.suspend();
+    woke = ctx.now();
+  });
+  w.spawn(1, [&](NodeCtx& ctx) {
+    ctx.elapse(100);
+    stale();
+  });
+  w.run();
+  EXPECT_EQ(woke, 100u);
+
+  // Latch: called from node 0's own program, the wake is delivered while
+  // the node elapses, latched, and consumed by its next suspend().
+  bool done = false;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    stale();
+    ctx.elapse(10);
+    ctx.suspend();
+    done = true;
+  });
+  w.run();
+  EXPECT_TRUE(done);
+
+  // No program: this launch reaps node 0's fiber and starts none there, so
+  // the stale resumer is dropped, not latched for a later program.
+  w.spawn(1, [](NodeCtx& ctx) { ctx.elapse(1); });
+  w.run();
+  stale();
+  const Time start = w.engine().now();
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.suspend();
+    woke = ctx.now();
+  });
+  w.spawn(1, [&](NodeCtx& ctx) {
+    auto wake = w.node(0).make_resumer();
+    ctx.elapse(50);
+    wake();
+  });
+  w.run();
+  EXPECT_EQ(woke, start + 50);
+  EXPECT_EQ(w.fiber_stacks(), 2u);
+}
+
+TEST(FiberLifecycle, DeadlockAfterACompletedRunNamesOnlyTheStuckNode) {
+  World w(4);
+  w.spawn_all([](NodeCtx& ctx) { ctx.elapse(10); });
+  w.run();
+  w.spawn(2, [](NodeCtx& ctx) { ctx.suspend(); });
+  try {
+    w.run();
+    FAIL() << "expected a deadlock";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 program(s) still blocked: node2"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(FiberLifecycle, SecondProgramOnABusyNodeThrows) {
+  World w(2);
+  auto noop = [](NodeCtx&) {};
+  w.spawn(0, [](NodeCtx& ctx) { ctx.elapse(1000); });
+  EXPECT_THROW(w.spawn(0, noop), std::logic_error) << "pending";
+  EXPECT_FALSE(w.run_until(10));
+  EXPECT_THROW(w.spawn(0, noop), std::logic_error) << "live";
+  EXPECT_NO_THROW(w.spawn(1, noop));
+  w.run();
+  EXPECT_NO_THROW(w.spawn(0, noop)) << "finished";
+  w.run();
 }
 
 TEST(World, DeterministicAcrossRuns) {

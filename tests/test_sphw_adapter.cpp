@@ -404,46 +404,53 @@ TEST(Fastpath, RxReadyTimeIsAnExactLowerBound) {
   EXPECT_TRUE(checked);
 }
 
-TEST(Fastpath, SendFreeReadyTimeSettlesExactly) {
-  SpParams params = SpParams::thin_node();
-  params.send_fifo_entries = 4;
-  sim::World w(2);
-  SpMachine m(w, params);
-
-  w.spawn(0, [&](sim::NodeCtx& ctx) {
-    Tb2Adapter& ad = m.adapter(0);
-    // Deferred doorbells: nothing is submitted, so the FIFO genuinely
-    // fills and no free instants are scheduled yet.
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      ad.host_enqueue(ctx, mk(1, 224, i), /*doorbell_npackets=*/0);
-    }
-    EXPECT_FALSE(ad.host_send_space());
-    // Entries awaiting their doorbell have no scheduled free instant: the
-    // hint must decline rather than guess.
-    EXPECT_EQ(ad.send_free_ready_time(1), 0u);
-    // Ringing submits all four to the tx DMA; now every entry has an exact
-    // future free instant and the hint must be tick-exact.
-    ad.host_doorbell(ctx, 4);
-    const sim::Time ready = ad.send_free_ready_time(1);
-    ASSERT_NE(ready, 0u);
-    EXPECT_GT(ready, ctx.now());
-    const sim::Time all_ready = ad.send_free_ready_time(4);
-    EXPECT_GE(all_ready, ready);
-    ctx.elapse(ready - ctx.now() - 1);
-    EXPECT_FALSE(ad.host_send_space());
-    ctx.elapse(1);
-    EXPECT_TRUE(ad.host_send_space());
-    ctx.elapse(all_ready - ctx.now());
-    EXPECT_EQ(ad.host_send_free(), 4);
-  });
-  w.spawn(1, [&](sim::NodeCtx& ctx) {
-    for (int got = 0; got < 4; ++got) {
-      ctx.poll_until([&] { return m.adapter(1).host_rx_ready(); },
-                     sim::usec(0.5));
-      m.adapter(1).host_rx_take(ctx);
-    }
-  });
-  w.run();
+TEST(Fastpath, LazySendFifoFreeMatchesPerHopTick) {
+  // The fast path frees send-FIFO entries lazily, when host_send_space()
+  // or host_send_free() looks; per-hop mode frees them with real events.
+  // Probing every tick, the first entry and the last must free at the same
+  // instants in both modes.
+  struct Frees {
+    sim::Time doorbell = 0, first = 0, all = 0;
+  };
+  auto run_mode = [](bool fastpath) {
+    SpParams params = SpParams::thin_node();
+    params.send_fifo_entries = 4;
+    params.network_fastpath = fastpath;
+    sim::World w(2);
+    SpMachine m(w, params);
+    Frees f;
+    w.spawn(0, [&](sim::NodeCtx& ctx) {
+      Tb2Adapter& ad = m.adapter(0);
+      // Deferred doorbells: nothing is submitted, so the FIFO genuinely
+      // fills and no entry can free before the doorbell.
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        ad.host_enqueue(ctx, mk(1, 224, i), /*doorbell_npackets=*/0);
+      }
+      EXPECT_FALSE(ad.host_send_space());
+      ad.host_doorbell(ctx, 4);
+      f.doorbell = ctx.now();
+      while (!ad.host_send_space()) ctx.elapse(1);
+      f.first = ctx.now();
+      while (ad.host_send_free() < 4) ctx.elapse(1);
+      f.all = ctx.now();
+    });
+    w.spawn(1, [&](sim::NodeCtx& ctx) {
+      for (int got = 0; got < 4; ++got) {
+        ctx.poll_until([&] { return m.adapter(1).host_rx_ready(); },
+                       sim::usec(0.5));
+        m.adapter(1).host_rx_take(ctx);
+      }
+    });
+    w.run();
+    return f;
+  };
+  const Frees fast = run_mode(true);
+  EXPECT_GT(fast.first, fast.doorbell);
+  EXPECT_GT(fast.all, fast.first);
+  const Frees per_hop = run_mode(false);
+  EXPECT_EQ(fast.doorbell, per_hop.doorbell);
+  EXPECT_EQ(fast.first, per_hop.first) << "first entry frees";
+  EXPECT_EQ(fast.all, per_hop.all) << "last entry frees";
 }
 
 }  // namespace
