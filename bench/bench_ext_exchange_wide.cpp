@@ -34,8 +34,9 @@ double exchange_bandwidth_mbps(std::size_t piece,
         ep.store_async(1 - r, dst, src.data(), piece, 0, 0,
                        [&, r] { ++done[r]; });
       }
-      ep.poll_until(
-          [&] { return done[0] == count && done[1] == count; });
+      // done[1 - r] is the peer's: a cross-node wait polls one quantum at
+      // a time (Endpoint::poll_until's contract).
+      while (done[0] != count || done[1] != count) ep.poll();
       finish[r] = ctx.now();
     });
   }

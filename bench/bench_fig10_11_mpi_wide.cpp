@@ -22,16 +22,6 @@ MpiWorldConfig cfg_of(MpiImpl impl) {
   return cfg;
 }
 
-std::vector<std::size_t> latency_sizes() {
-  return {4, 16, 64, 256, 1024, 4096, 8192, 16384, 32768};
-}
-std::vector<std::size_t> bandwidth_sizes() {
-  std::vector<std::size_t> v;
-  for (std::size_t s = 64; s <= (1u << 18); s *= 4) v.push_back(s);
-  v.push_back(1u << 19);
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -44,7 +34,7 @@ int main(int argc, char** argv) {
   const MpiImpl impls[] = {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
                            MpiImpl::kMpiF};
   std::vector<std::function<double()>> points;
-  for (std::size_t s : latency_sizes()) {
+  for (std::size_t s : spam::bench::mpi_figure_latency_sizes()) {
     points.push_back(
         [&hw, s] { return spam::bench::am_store_hop_latency_us(s, hw); });
     for (MpiImpl impl : impls) {
@@ -53,7 +43,7 @@ int main(int argc, char** argv) {
       });
     }
   }
-  for (std::size_t s : bandwidth_sizes()) {
+  for (std::size_t s : spam::bench::mpi_figure_bandwidth_sizes()) {
     points.push_back(
         [&hw, s] { return spam::bench::am_store_bandwidth_mbps(s, hw); });
     for (MpiImpl impl : impls) {
@@ -76,14 +66,14 @@ int main(int argc, char** argv) {
       "Figure 10 — MPI per-hop latency on wide nodes (us)");
   lat.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM",
                   "MPI-F"});
-  const auto lsz = latency_sizes();
+  const auto lsz = spam::bench::mpi_figure_latency_sizes();
   for (std::size_t i = 0; i < lsz.size(); ++i) lat.add_row(row(i, lsz[i]));
   spam::bench::emit(lat);
 
   spam::report::Table bw(
       "Figure 11 — MPI point-to-point bandwidth on wide nodes (MB/s)");
   bw.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM", "MPI-F"});
-  const auto bsz = bandwidth_sizes();
+  const auto bsz = spam::bench::mpi_figure_bandwidth_sizes();
   for (std::size_t i = 0; i < bsz.size(); ++i) {
     bw.add_row(row(lsz.size() + i, bsz[i]));
   }

@@ -400,6 +400,17 @@ double mpi_bandwidth_mbps(const mpi::MpiWorldConfig& cfg, std::size_t bytes) {
   return static_cast<double>(bytes * count) / sim::to_sec(elapsed) / 1e6;
 }
 
+std::vector<std::size_t> mpi_figure_latency_sizes() {
+  return {4, 16, 64, 256, 1024, 4096, 8192, 16384, 32768};
+}
+
+std::vector<std::size_t> mpi_figure_bandwidth_sizes() {
+  std::vector<std::size_t> v;
+  for (std::size_t s = 64; s <= (1u << 18); s *= 4) v.push_back(s);
+  v.push_back(1u << 19);
+  return v;
+}
+
 double am_store_hop_latency_us(std::size_t bytes, sphw::SpParams hw) {
   // Reference curve: one-way am_store delivery time, measured at the
   // receiving handler, averaged over a short train.
@@ -419,7 +430,9 @@ double am_store_hop_latency_us(std::size_t bytes, sphw::SpParams hw) {
     const sim::Time t0 = ctx.now();
     for (int i = 0; i < kIters; ++i) {
       e0.store(1, dst.data(), src.data(), bytes, h, 0);
-      e0.poll_until([&] { return arrived > i; });
+      // `arrived` is node 1's: a cross-node wait polls one quantum at a
+      // time (Endpoint::poll_until's contract).
+      while (arrived <= i) e0.poll();
     }
     total = ctx.now() - t0;
   });

@@ -72,6 +72,11 @@ double mpi_hop_latency_us(const mpi::MpiWorldConfig& cfg, std::size_t bytes);
 /// One-way point-to-point bandwidth between two nodes.
 double mpi_bandwidth_mbps(const mpi::MpiWorldConfig& cfg, std::size_t bytes);
 
+/// Message sizes Figures 8-11 print: the latency panels (8, 10) and the
+/// bandwidth panels (9, 11).
+std::vector<std::size_t> mpi_figure_latency_sizes();
+std::vector<std::size_t> mpi_figure_bandwidth_sizes();
+
 /// Raw am_store reference curve used in the MPI figures.
 double am_store_hop_latency_us(std::size_t bytes, sphw::SpParams hw);
 double am_store_bandwidth_mbps(std::size_t bytes, sphw::SpParams hw);

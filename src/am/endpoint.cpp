@@ -67,20 +67,30 @@ void Endpoint::wait_for_window(int dst, std::uint8_t channel,
 
 SPAM_HOT void Endpoint::merge_empty_polls() {
   // Flush charge debt before sampling the adapter: the rx-ready state and
-  // ready-time hints below are exact only at the node's virtual instant.
+  // the horizon below are exact only at the node's virtual instant.
   ctx_.settle();
-  if (adapter_.host_rx_ready()) return;
-  const sim::Time ready = adapter_.host_rx_ready_time();
-  if (ready == 0) return;
+  if (!ctx_.engine().fastpath()) return;
+  const sphw::Tb2Adapter::RxHorizon h = adapter_.rx_horizon(
+      ctx_.world().others_next_action(ctx_.rank()));
+  // 0: something is or may be arriving; kTimeNever: nothing ever will, so
+  // there is no finite run of polls to merge.
+  if (h.quiet == 0 || h.quiet == sim::kTimeNever) return;
   const sim::Time quantum = sim::usec(params_.poll_empty_us);
   const sim::Time now = ctx_.now();
-  if (ready <= now + quantum) return;  // the very next poll may see it
+  // The very next poll may see a packet, or the one after may tie with an
+  // arrival nobody has queued yet.
+  if (h.quiet <= now + quantum || h.unscheduled <= now + 2 * quantum) return;
   if (!bulk_progress_frozen()) return;
-  // Polls at now + i*quantum for i = 1..k sample strictly before `ready`,
+  // Polls at now + i*quantum for i = 1..k sample strictly before h.quiet,
   // so each would charge its quantum, drain nothing, and leave bulk
-  // progress untouched: one elapse of k quanta reaches the same instant
-  // and the k-1 intermediate wakes are elided.
-  sim::Time k = (ready - now - 1) / quantum;
+  // progress untouched: charging k quanta reaches the same instant, and
+  // the poll that follows folds them into its own elapse — one wake where
+  // the per-poll loop had k+1.  That wake, at now + (k+1)*quantum, is
+  // queued now rather than one quantum before it fires, so it must precede
+  // h.unscheduled: an arrival at that very instant queued in between would
+  // otherwise run after the wake instead of before it.
+  sim::Time k = std::min((h.quiet - now - 1) / quantum,
+                         (h.unscheduled - now - 1) / quantum - 1);
   bool count_streak = false;
   if (!in_poll_ && have_unacked_retrans()) {
     // Keep-alive probes fire at exact poll instants: stop the merge one
@@ -92,7 +102,7 @@ SPAM_HOT void Endpoint::merge_empty_polls() {
     }
     count_streak = true;
   }
-  ctx_.elapse(k * quantum);
+  ctx_.charge(k * quantum);
   ctx_.engine().note_elided(static_cast<std::int64_t>(k) - 1);
   // Each merged poll was a top-level empty poll: replicate the keep-alive
   // bookkeeping (nested polls leave the streak alone, as poll() does).

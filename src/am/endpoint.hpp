@@ -111,11 +111,18 @@ class Endpoint {
   /// Polls until `done()`; the standard blocking idiom.
   ///
   /// Contract: `done` must change only as a consequence of this endpoint's
-  /// own polling work (handlers, acks, bulk completions) — true for every
-  /// AM-level completion flag.  Under the network fast path the loop then
-  /// merges runs of provably empty polls into one wait of identical total
-  /// virtual time (see merge_empty_polls), so per-poll wake events
-  /// disappear while every observable instant stays bit-identical.
+  /// own polling work (handlers run here, acks, bulk completions) — true
+  /// for every AM-level completion flag.  Under the network fast path the
+  /// loop then merges runs of provably empty polls into one wait of
+  /// identical total virtual time (see merge_empty_polls), so per-poll wake
+  /// events disappear while every observable instant stays bit-identical.
+  ///
+  /// A cross-node wait must not use poll_until: a flag set by another
+  /// node's program or handler can flip inside a merged run, and the loop
+  /// sees it up to one merged run late.  Write such a wait as
+  /// `while (!flag) ep.poll();`, which samples after every quantum.  The
+  /// one exception is a program's last wait when nothing reads the instant
+  /// it ends, such as a responder waiting for the run to finish.
   template <typename Pred>
   void poll_until(Pred&& done) {
     while (!done()) {
@@ -238,10 +245,11 @@ class Endpoint {
   void wait_for_window(int dst, std::uint8_t channel, int packets_needed);
   void wait_for_fifo_space(int needed);
 
-  // Fast path: when the adapter can bound the next packet's arrival and
-  // bulk progress is provably frozen, advances the clock across the poll
-  // quanta that would sample an empty FIFO (replicating the keep-alive
-  // empty-poll accounting), merging their wake events into one.
+  // Fast path: while bulk progress is provably frozen, charges the poll
+  // quanta that would sample an empty FIFO before the adapter's rx horizon
+  // (the known next arrival, or the earliest instant another node's program
+  // can act plus the network floor), replicating the keep-alive empty-poll
+  // accounting; the next poll's elapse then carries them in one wake.
   void merge_empty_polls();
   /// True while progress_bulk() cannot do anything at any instant before
   /// the next packet arrives: every queued chunk is blocked by the

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <utility>
 
 #include "sim/hot.hpp"
 
 namespace spam::sim {
-
-namespace {
-constexpr Time kTimeMax = std::numeric_limits<Time>::max();
-}  // namespace
 
 SPAM_HOT Engine::Node* Engine::acquire() {
   if (free_list_ == nullptr) {
@@ -158,15 +153,21 @@ SPAM_HOT Engine::Node* Engine::pop_min() {
   return heap_pop();
 }
 
-SPAM_HOT Time Engine::next_time_lower_bound() const {
-  Time lb = kTimeMax;
-  if (run_pos_ < run_.size()) lb = run_[run_pos_]->t;
-  if (!heap_.empty() && heap_[0]->t < lb) lb = heap_[0]->t;
-  if (calendar_count_ > 0) {
-    const Time cal = static_cast<Time>(cal_min_bucket_) << kBucketShift;
-    if (cal < lb) lb = cal;
+SPAM_HOT bool Engine::any_event_at_or_before(Time t) const {
+  if (run_pos_ < run_.size() && run_[run_pos_]->t <= t) return true;
+  if (!heap_.empty() && heap_[0]->t <= t) return true;
+  if (calendar_count_ == 0) return false;
+  // Later buckets start after the earliest one ends, so only the earliest
+  // can straddle `t`; scan its chain rather than drain it (a drained
+  // bucket's window sends later inserts to the heap).
+  const std::uint64_t b = cal_min_bucket_;
+  if ((b << kBucketShift) > t) return false;
+  if (((b + 1) << kBucketShift) <= t) return true;
+  for (const Node* n = bucket_[b & kBucketMask]; n != nullptr;
+       n = n->next_free) {
+    if (n->t <= t) return true;
   }
-  return lb;
+  return false;
 }
 
 SPAM_HOT void Engine::at(Time t, Action fn) {
@@ -202,11 +203,9 @@ SPAM_HOT bool Engine::try_skip_elapse(Time d) {
   if (!fastpath_ || stopped_) return false;
   const Time target = now_ + d;
   if (run_deadline_ == 0 || target > run_deadline_) return false;
-  // The lower bound is conservative (bucket-start granularity), so it can
-  // only deny a legal skip, never allow an illegal one.  An event at
-  // exactly `target` must still deny: per-hop mode would run it before the
-  // wake timer (its seq is smaller — it was already queued).
-  if (next_time_lower_bound() <= target) return false;
+  // An event at exactly `target` must deny: per-hop mode would run it
+  // before the wake timer (its seq is smaller — it was already queued).
+  if (any_event_at_or_before(target)) return false;
   now_ = target;
   ++elided_;  // the wake event per-hop mode would have scheduled + popped
   return true;
@@ -227,7 +226,7 @@ SPAM_HOT bool Engine::step() {
 
 SPAM_HOT std::uint64_t Engine::run() {
   stopped_ = false;
-  run_deadline_ = kTimeMax;
+  run_deadline_ = kTimeNever;
   std::uint64_t n = 0;
   while (!stopped_ && step()) ++n;
   run_deadline_ = 0;

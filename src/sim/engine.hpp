@@ -163,10 +163,9 @@ class Engine {
   Node* pop_min();
   std::uint64_t next_nonempty_bucket() const;
   void drain_bucket(std::uint64_t b);
-  /// Cheap lower bound on the earliest pending event time (bucket start
-  /// granularity for calendar entries).  Only safe for *denying* a
-  /// skip-ahead; run_until uses the exact front().
-  Time next_time_lower_bound() const;
+  /// Exact test for a queued event at or before `t`, without draining a
+  /// calendar bucket (try_skip_elapse's check).
+  bool any_event_at_or_before(Time t) const;
 
   // Node storage: fixed-size blocks keep node addresses stable while the
   // pool grows; the free list threads through recycled nodes.

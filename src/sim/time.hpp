@@ -19,6 +19,9 @@ inline constexpr Time kMsec = 1000 * kUsec;
 /// One second expressed in simulation ticks.
 inline constexpr Time kSec = 1000 * kMsec;
 
+/// "Never": later than any reachable virtual instant.
+inline constexpr Time kTimeNever = ~Time{0};
+
 /// Converts a duration in (possibly fractional) microseconds to ticks,
 /// rounding to the nearest nanosecond.
 constexpr Time usec(double us) { return static_cast<Time>(us * 1e3 + 0.5); }

@@ -1,5 +1,6 @@
 #include "sim/world.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -55,6 +56,7 @@ void NodeCtx::elapse(Time d) {
   // interleaved with this node while it slept.
   if (engine().try_skip_elapse(d)) return;
   sleep_state_ = SleepState::kElapsing;
+  wake_at_ = engine().now() + d;
   auto wake = [this] {
     // Only our own timer ends an elapse; resumers cannot shorten charged
     // CPU time (they latch wake_pending_ instead).
@@ -138,6 +140,20 @@ void World::spawn(int rank, Program program) {
 
 void World::spawn_all(Program program) {
   for (int r = 0; r < size(); ++r) spawn(r, program);
+}
+
+Time World::others_next_action(int rank) const {
+  const Time now = engine_.now();
+  for (const auto& p : pending_) {
+    if (p.first != rank) return now;
+  }
+  Time lb = kTimeNever;
+  for (const auto& node : nodes_) {
+    if (node->rank_ == rank || !node->busy()) continue;
+    if (node->sleep_state_ != NodeCtx::SleepState::kElapsing) return now;
+    lb = std::min(lb, node->wake_at_);
+  }
+  return lb;
 }
 
 std::size_t World::fiber_stacks() const {

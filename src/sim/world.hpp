@@ -124,6 +124,8 @@ class NodeCtx {
   // World has reaped it.
   std::unique_ptr<Fiber> fiber_;
   SleepState sleep_state_ = SleepState::kRunning;
+  // While kElapsing: the instant the wake timer resumes the program.
+  Time wake_at_ = 0;
   bool wake_pending_ = false;
   // Local virtual clock: CPU time charged but not yet materialized as an
   // engine sleep, and the number of charge() calls it folds (each one is
@@ -172,6 +174,14 @@ class World {
   /// Like run() but gives up once the virtual clock passes `deadline`.
   /// Returns true if all programs finished.
   bool run_until(Time deadline);
+
+  /// Lower bound on the instant at which any node other than `rank` next
+  /// runs its program: an elapsing node's wake instant (charged CPU time
+  /// is indivisible), now() for a node that is waiting, has a pending
+  /// launch or has not started yet, and kTimeNever when no other node has
+  /// a program.  Anything a node's program does (a doorbell, a store to
+  /// shared memory) therefore happens at or after this instant.
+  Time others_next_action(int rank) const;
 
   /// Fiber stacks this World owns: one per fiber not yet reaped plus the
   /// free list.  A finished fiber is reaped at the next launch and its

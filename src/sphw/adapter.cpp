@@ -12,6 +12,32 @@ namespace spam::sphw {
 
 namespace {
 sim::Time ceil_us(double us) { return sim::usec(us); }
+
+// The floors below take each pipeline stage of submit_to_tx_pipeline and
+// deliver_from_switch at its least duration, that of a header-only packet
+// (transfer_time grows with the byte count); a stage never starts before
+// the previous one ends.
+sim::Time min_dma(const SpParams& p) {
+  return ceil_us(p.dma_setup_us) +
+         sim::transfer_time(static_cast<std::uint32_t>(p.packet_header_bytes),
+                            p.mc_dma_mbps);
+}
+
+// Doorbell (submit) -> the packet has left the sender's link.
+sim::Time tx_floor(const SpParams& p) {
+  return min_dma(p) + ceil_us(p.i860_tx_us) +
+         sim::transfer_time(static_cast<std::uint32_t>(p.packet_header_bytes),
+                            p.link_mbps);
+}
+
+// Link done -> host-visible at the destination.
+sim::Time switch_floor(const SpParams& p) {
+  return sim::usec(p.hop_latency_us) + ceil_us(p.i860_rx_us) + min_dma(p);
+}
+
+sim::Time saturating_add(sim::Time a, sim::Time b) {
+  return a > sim::kTimeNever - b ? sim::kTimeNever : a + b;
+}
 }  // namespace
 
 Tb2Adapter::Tb2Adapter(sim::Engine& engine, SwitchFabric& fabric, int node,
@@ -20,6 +46,8 @@ Tb2Adapter::Tb2Adapter(sim::Engine& engine, SwitchFabric& fabric, int node,
       fabric_(fabric),
       node_(node),
       params_(params),
+      tx_floor_(tx_floor(params)),
+      switch_floor_(switch_floor(params)),
       rx_fifo_capacity_(params.recv_fifo_entries_per_node *
                         std::max(1, active_nodes)) {
   fabric_.attach(node, this);
@@ -270,18 +298,28 @@ SPAM_HOT void Tb2Adapter::deliver_from_switch(Packet pkt) {
   engine_.at(rx_dma_free_, std::move(arrive));
 }
 
-SPAM_HOT sim::Time Tb2Adapter::host_rx_ready_time() const {
-  if (!rx_queue_.empty()) return 0;
+SPAM_HOT Tb2Adapter::RxHorizon Tb2Adapter::rx_horizon(
+    sim::Time others_lb) const {
+  if (!rx_queue_.empty()) return {};
   // Any per-hop traffic (in flight to the switch, or between its hop and
   // arrive events) could land before the fused front: no prediction.
-  if (pending_slow_ > 0 || slow_arrivals_pending_ > 0) return 0;
-  if (fused_.empty()) return 0;  // nothing inbound is known at all
+  if (pending_slow_ > 0 || slow_arrivals_pending_ > 0) return {};
+  // Every packet already submitted toward us is in the ledger.
+  sim::Time unscheduled = saturating_add(others_lb, rx_floor());
+  if (fused_.empty()) return {unscheduled, unscheduled};
+  // A fault hook armed at or after others_lb sends every packet still short
+  // of the switch then down the per-hop path, where it lands no sooner than
+  // the switch floor after others_lb.  The ledger is ordered by switch
+  // entry, so the newest packet tells whether any is still short of it.
+  if (fused_.back().t_link >= others_lb) {
+    unscheduled = saturating_add(others_lb, switch_floor_);
+  }
   // Ledger arrivals are ordered (rx_dma_free_ is monotonic), a rollback
-  // re-delivers at the bit-identical per-hop instant, a conflicting
-  // later per-hop delivery inherits clocks >= the front's arrival, and a
-  // FIFO-full drop only keeps the queue empty longer — so nothing can
-  // become host-visible before the front reservation's instant.
-  return fused_.front().t_arrive;
+  // forced by a later submit re-delivers behind that submit's packet, a
+  // conflicting later per-hop delivery inherits clocks >= the front's
+  // arrival, and a FIFO-full drop only keeps the queue empty longer — so
+  // with no fault hook re-timing, nothing lands before the front.
+  return {std::min(fused_.front().t_arrive, unscheduled), unscheduled};
 }
 
 SPAM_HOT void Tb2Adapter::complete_rx(Packet p) {

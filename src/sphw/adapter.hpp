@@ -101,13 +101,34 @@ class Tb2Adapter {
   int host_rx_pending() const { return static_cast<int>(rx_queue_.size()); }
   bool host_rx_ready() const { return !rx_queue_.empty(); }
 
-  /// Fast-path polling hint: a lower bound on the instant at which
-  /// host_rx_ready() *can* become true, or 0 when it already is / no bound
-  /// is provable.  Valid only when every inbound packet is fused (ledger
-  /// arrivals are ordered, and any mid-flight rollback re-delivers at the
-  /// bit-identical per-hop instant, never earlier); per-hop packets in
-  /// flight or pending arrive events forfeit the hint.
-  sim::Time host_rx_ready_time() const;
+  /// Fast-path polling horizon (src/am merge_empty_polls), given that no
+  /// other node's program acts before `others_lb`
+  /// (sim::World::others_next_action).
+  struct RxHorizon {
+    /// host_rx_ready() stays false at every instant strictly before this.
+    sim::Time quiet = 0;
+    /// No packet lands before this unless its arrival event is already
+    /// queued (>= quiet).  A poll whose wake was queued earlier than the
+    /// per-poll loop would have queued it must stay below this, or a
+    /// same-instant arrival queued in between would order differently.
+    sim::Time unscheduled = 0;
+  };
+  /// Both bounds are 0 while the FIFO holds a packet or a per-hop packet is
+  /// inbound (its arrival is not in the ledger), and sim::kTimeNever when
+  /// nothing can ever arrive.  Otherwise:
+  ///   - a packet not yet submitted needs some program's doorbell, at or
+  ///     after `others_lb`, and then at least rx_floor() to land;
+  ///   - a fused packet still short of the switch at `others_lb` can be
+  ///     re-timed by a fault hook armed then (it travels per-hop, and an
+  ///     earlier drop can let it overtake the ledger), but lands no sooner
+  ///     than the switch-to-host floor after `others_lb`;
+  ///   - any other ledger packet lands at its ledger instant or later.
+  RxHorizon rx_horizon(sim::Time others_lb) const;
+
+  /// Least time from a doorbell submitting a packet to that packet being
+  /// host-visible at its destination: tx DMA + i860 + link + hop + i860 +
+  /// rx DMA of a header-only packet, with the pipeline's own rounding.
+  sim::Time rx_floor() const { return tx_floor_ + switch_floor_; }
 
   /// Copies the front packet out of the receive FIFO (charges the copy) and
   /// performs the lazy-pop bookkeeping (one MicroChannel access per
@@ -192,6 +213,10 @@ class Tb2Adapter {
   SwitchFabric& fabric_;
   const int node_;
   const SpParams params_;
+  // rx_floor() split at the switch entry: submit -> link done, and link
+  // done -> host-visible (hop + i860 + rx DMA).
+  const sim::Time tx_floor_;
+  const sim::Time switch_floor_;
 
   // Send side.
   int send_fifo_used_ = 0;
@@ -221,7 +246,7 @@ class Tb2Adapter {
     sim::Time t_hop = 0;   // switch-exit instant (per-hop deliver instant)
     sim::Time pre_i860 = 0;
     sim::Time pre_dma = 0;
-    sim::Time t_arrive = 0;  // fused delivery instant (host_rx_ready_time)
+    sim::Time t_arrive = 0;  // fused delivery instant (rx_horizon)
     Packet pkt;
   };
   std::deque<FusedReservation> fused_;
@@ -231,7 +256,7 @@ class Tb2Adapter {
   // computation is barred while any are outstanding).
   int pending_slow_ = 0;
   // Per-hop arrive events scheduled but not yet fired: their arrival
-  // instants are not in the fused ledger, so host_rx_ready_time() must
+  // instants are not in the fused ledger, so rx_horizon() must
   // decline to predict while any are outstanding.
   int slow_arrivals_pending_ = 0;
 

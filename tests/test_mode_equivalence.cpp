@@ -35,12 +35,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "apps/nas.hpp"
+#include "am/endpoint.hpp"
 #include "apps/splitc_apps.hpp"
 #include "micro.hpp"
 #include "report/report.hpp"
@@ -227,13 +229,20 @@ EQUIVALENCE_CASE(Fig8To11MpiCurves) {
           << "bandwidth impl=" << static_cast<int>(impl)
           << " wide=" << wide_nodes;
     }
-    // The raw am_store reference curves drawn alongside the MPI data.
+    // The raw am_store reference curves drawn alongside the MPI data, at
+    // every size the figures print.
     const sphw::SpParams ref_hw = wide_nodes ? wide(ref) : thin(ref);
     const sphw::SpParams def_hw = wide_nodes ? wide(kDefault) : thin(kDefault);
-    EXPECT_EQ(bench::am_store_hop_latency_us(1024, ref_hw),
-              bench::am_store_hop_latency_us(1024, def_hw));
-    EXPECT_EQ(bench::am_store_bandwidth_mbps(65536, ref_hw),
-              bench::am_store_bandwidth_mbps(65536, def_hw));
+    for (std::size_t s : bench::mpi_figure_latency_sizes()) {
+      EXPECT_EQ(bench::am_store_hop_latency_us(s, ref_hw),
+                bench::am_store_hop_latency_us(s, def_hw))
+          << "am_store latency size=" << s << " wide=" << wide_nodes;
+    }
+    for (std::size_t s : bench::mpi_figure_bandwidth_sizes()) {
+      EXPECT_EQ(bench::am_store_bandwidth_mbps(s, ref_hw),
+                bench::am_store_bandwidth_mbps(s, def_hw))
+          << "am_store bandwidth size=" << s << " wide=" << wide_nodes;
+    }
   }
 }
 
@@ -415,6 +424,222 @@ TEST(ModeEquivalence, ReusedMpiWorldNasPasses) {
                            name(ref));
     }
   }
+}
+
+// --- The AM rx horizon: merged polls against packets not yet sent ----------
+//
+// Under the fast path a node waiting in Endpoint::poll_until merges its
+// empty polls up to the earliest instant a packet could become visible to
+// it: the next known arrival, or the earliest next action of any other
+// node's program plus the network floor.  Each case below puts a sender
+// right at the instant that bound assumes, from a different direction,
+// and requires every node's log of (tag, virtual instant) to be identical
+// in all three modes.
+
+// Per node: what its handlers and its program saw, in the order it saw it.
+using NodeLogs = std::vector<std::vector<std::pair<std::uint64_t, sim::Time>>>;
+
+void expect_logs_equal(const NodeLogs& got, const NodeLogs& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t n = 0; n < want.size(); ++n) {
+    EXPECT_EQ(got[n].size(), want[n].size()) << what << " node " << n;
+    const std::size_t len = std::min(got[n].size(), want[n].size());
+    for (std::size_t i = 0; i < len; ++i) {
+      if (got[n][i] != want[n][i]) {
+        ADD_FAILURE() << what << " node " << n << " entry " << i << ": tag "
+                      << got[n][i].first << " at " << got[n][i].second
+                      << " ns, want tag " << want[n][i].first << " at "
+                      << want[n][i].second << " ns";
+        break;
+      }
+    }
+  }
+}
+
+void expect_three_modes_equal(const std::function<NodeLogs(Mode)>& run) {
+  const NodeLogs def = run(kDefault);
+  for (Mode ref : {kPerHop, kPerCharge}) {
+    expect_logs_equal(run(ref), def, name(ref));
+  }
+}
+
+// Three endpoints on one thin-node machine; node `irq_node`, if any,
+// takes packets by interrupt while it computes.
+struct HorizonNet {
+  sim::World world{3};
+  sphw::SpMachine machine;
+  std::vector<std::unique_ptr<am::Endpoint>> eps;
+  NodeLogs log = NodeLogs(3);
+
+  explicit HorizonNet(Mode m, int irq_node = -1) : machine(world, thin(m)) {
+    for (int n = 0; n < 3; ++n) {
+      am::AmParams amp;
+      amp.interrupt_driven = n == irq_node;
+      eps.push_back(std::make_unique<am::Endpoint>(world.node(n),
+                                                   machine.adapter(n), amp));
+    }
+  }
+  am::Endpoint& ep(int n) { return *eps[static_cast<std::size_t>(n)]; }
+  // Logs (tag, now) on node n.
+  void note(int n, std::uint64_t tag) {
+    log[static_cast<std::size_t>(n)].emplace_back(tag, ep(n).ctx().now());
+  }
+};
+
+// Registers on every node, at the same index, a request handler that logs
+// the word and replies with `ack` (registered first, so index 1 everywhere)
+// bumping the origin's counter in `acks`.
+int register_echo(HorizonNet& net, std::array<int, 3>& acks) {
+  int h_req = 0;
+  for (int n = 0; n < 3; ++n) {
+    const int h_ack = net.ep(n).register_handler(
+        [&acks, n](am::Endpoint&, am::Token, const am::Word*, int) {
+          ++acks[static_cast<std::size_t>(n)];
+        });
+    h_req = net.ep(n).register_handler(
+        [&net, n, h_ack](am::Endpoint& ep, am::Token t, const am::Word* a,
+                         int) {
+          net.note(n, a[0]);
+          ep.reply_1(t, h_ack, a[0]);
+        });
+  }
+  return h_req;
+}
+
+// Virtual instant at which round r of a case below starts.
+sim::Time round_start(int r) { return sim::usec(1000.0 * (r + 1)); }
+
+// Node 2 wakes from a long compute() and sends a header-only request at
+// once, so its doorbell rings the instant its last elapse ends and the
+// packet lands exactly one floor later.  Node 0 starts merging polls while
+// node 2 is inside that elapse, one nanosecond later each round, so over a
+// poll quantum of rounds one merge would end exactly on the arrival (the
+// same-instant order of the arrival and node 0's wake then decides whether
+// the poll sees it).  Node 1 ping-pongs with node 0 at each round's start.
+TEST(ModeEquivalence, SenderWakingFromComputeMeetsAMergingPoller) {
+  constexpr int kRounds = 1300;  // poll_empty_us = 1.3 us, in 1 ns steps
+  expect_three_modes_equal([](Mode m) {
+    HorizonNet net(m);
+    std::array<int, 3> acks{};
+    const int h_req = register_echo(net, acks);
+    net.world.spawn(0, [&](sim::NodeCtx& ctx) {
+      for (int r = 0; r < kRounds; ++r) {
+        net.ep(0).poll_until([&] { return net.log[0].size() >= 2u * r + 1; });
+        // Node 2's doorbell elapse spans [+213.9, +216.37) us.
+        ctx.elapse(round_start(r) + sim::usec(214) + static_cast<sim::Time>(r) -
+                   ctx.now());
+        net.ep(0).poll_until([&] { return net.log[0].size() >= 2u * r + 2; });
+      }
+    });
+    net.world.spawn(1, [&](sim::NodeCtx& ctx) {
+      for (int r = 0; r < kRounds; ++r) {
+        ctx.elapse(round_start(r) - ctx.now());
+        net.ep(1).request_1(0, h_req, static_cast<am::Word>(r));
+        net.ep(1).poll_until([&] { return acks[1] > r; });
+        net.note(1, static_cast<std::uint64_t>(r));
+      }
+    });
+    net.world.spawn(2, [&](sim::NodeCtx& ctx) {
+      for (int r = 0; r < kRounds; ++r) {
+        ctx.elapse(round_start(r) + sim::usec(150) - ctx.now());
+        net.ep(2).compute(60.0);
+        net.ep(2).request(0, h_req, nullptr, 0);
+        net.ep(2).poll_until([&] { return acks[2] > r; });
+        net.note(2, static_cast<std::uint64_t>(r));
+      }
+    });
+    net.world.run();
+    return net.log;
+  });
+}
+
+// Node 2 takes packets by interrupt while it computes, so it sits in
+// suspend() with no wake instant of its own whenever node 0 merges polls
+// waiting for its replies; node 1 computes in long polling-mode slices, so
+// only node 2's readiness can bound node 0's merges.
+TEST(ModeEquivalence, InterruptModeNeighbourOfAMergingPoller) {
+  constexpr int kPings = 200;
+  expect_three_modes_equal([](Mode m) {
+    HorizonNet net(m, /*irq_node=*/2);
+    std::array<int, 3> acks{};
+    const int h_req = register_echo(net, acks);
+    net.world.spawn(0, [&](sim::NodeCtx&) {
+      for (int i = 0; i < kPings; ++i) {
+        net.ep(0).compute(3.0 + 0.37 * (i % 17));
+        net.ep(0).request_1(2, h_req, static_cast<am::Word>(i));
+        net.ep(0).poll_until([&] { return acks[0] > i; });
+        net.note(0, static_cast<std::uint64_t>(i));
+      }
+    });
+    net.world.spawn(1, [&](sim::NodeCtx&) {
+      for (int i = 0; i < 30; ++i) {
+        net.ep(1).compute(1000.0);
+        net.ep(1).poll();
+      }
+      net.note(1, 0);
+    });
+    net.world.spawn(2, [&](sim::NodeCtx&) {
+      while (net.log[2].size() < kPings) net.ep(2).compute(250.0);
+      net.note(2, 0);
+    });
+    net.world.run();
+    return net.log;
+  });
+}
+
+// Node 1 sends node 0 a full bulk packet and then a one-word request, back
+// to back; node 2 arms a fault hook from its program while both are still
+// short of the switch and node 0 is merging polls toward the first one's
+// fused arrival.  The hook drops that bulk packet, so the request travels
+// per-hop and lands about 2 us before the ledger said anything could.  The
+// arming instant steps 0.25 us per round across the packets' flight, and
+// each drop is recovered by the protocol (NACK, go-back-N).
+TEST(ModeEquivalence, DropHookArmedMidRunUnderAMergingPoller) {
+  constexpr int kRounds = 80;
+  expect_three_modes_equal([](Mode m) {
+    HorizonNet net(m);
+    std::array<int, 3> acks{};
+    const int h_req = register_echo(net, acks);
+    std::vector<std::byte> src(224, std::byte{0x3c}), dst(224 * kRounds);
+    const int h_bulk = net.ep(0).register_bulk_handler(
+        [&](am::Endpoint&, am::Token, void*, std::size_t, am::Word arg) {
+          net.note(0, 900000 + arg);
+        });
+    std::vector<bool> dropped(kRounds, false);
+    int round = 0;
+    net.world.spawn(0, [&](sim::NodeCtx&) {
+      net.ep(0).poll_until([&] { return net.log[0].size() == 2u * kRounds; });
+    });
+    net.world.spawn(1, [&](sim::NodeCtx& ctx) {
+      int done = 0;
+      for (int r = 0; r < kRounds; ++r) {
+        ctx.elapse(round_start(r) - ctx.now());
+        net.ep(1).store_async(0, dst.data() + 224 * r, src.data(), 224, h_bulk,
+                              static_cast<am::Word>(r), [&] { ++done; });
+        net.ep(1).request_1(0, h_req, static_cast<am::Word>(r));
+        net.ep(1).poll_until([&] { return done > r && acks[1] > r; });
+        net.note(1, static_cast<std::uint64_t>(r));
+      }
+    });
+    net.world.spawn(2, [&](sim::NodeCtx& ctx) {
+      for (int r = 0; r < kRounds; ++r) {
+        ctx.elapse(round_start(r) + sim::usec(4.0 + 0.25 * r) - ctx.now());
+        round = r;
+        net.machine.fabric().set_drop_fn([&](const sphw::Packet& p) {
+          const auto i = static_cast<std::size_t>(round);
+          if (p.src != 1 || p.payload_bytes != 224 || dropped[i]) return false;
+          dropped[i] = true;
+          return true;
+        });
+        ctx.elapse(sim::usec(400));
+        net.machine.fabric().set_drop_fn(nullptr);
+      }
+      net.note(2, net.machine.fabric().stats().dropped_injected);
+    });
+    net.world.run();
+    return net.log;
+  });
 }
 
 // --- Seeded congestion fuzz: force mid-flight disengagement ------------------

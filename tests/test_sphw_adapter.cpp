@@ -382,26 +382,103 @@ TEST(Fastpath, RxReadyTimeIsAnExactLowerBound) {
     m.adapter(0).host_enqueue(ctx, mk(1, 224, 1));
   });
   w.spawn(1, [&](sim::NodeCtx& ctx) {
-    // Wait until the reservation exists, then interrogate the hint.
-    ctx.poll_until([&] { return m.adapter(1).host_rx_ready_time() != 0 ||
-                                m.adapter(1).host_rx_ready(); },
-                   sim::usec(0.5));
-    const sim::Time ready = m.adapter(1).host_rx_ready_time();
+    // Wait until the reservation exists, then interrogate the horizon.
+    // Node 0 has finished by then, so only the ledger bounds it.
+    ctx.poll_until(
+        [&] {
+          return m.adapter(1).rx_horizon(sim::kTimeNever).quiet !=
+                     sim::kTimeNever ||
+                 m.adapter(1).host_rx_ready();
+        },
+        sim::usec(0.5));
+    EXPECT_EQ(w.others_next_action(1), sim::kTimeNever);
+    const Tb2Adapter::RxHorizon h = m.adapter(1).rx_horizon(sim::kTimeNever);
+    const sim::Time ready = h.quiet;
     if (ready != 0) {
+      EXPECT_EQ(h.unscheduled, sim::kTimeNever);
       EXPECT_FALSE(m.adapter(1).host_rx_ready());
       EXPECT_GT(ready, ctx.now());
-      // The hint must be exact for an uncontended packet: not ready one
+      // The bound must be exact for an uncontended packet: not ready one
       // tick before, ready at the instant itself.
       ctx.elapse(ready - ctx.now() - 1);
       EXPECT_FALSE(m.adapter(1).host_rx_ready());
       ctx.elapse(1);
       EXPECT_TRUE(m.adapter(1).host_rx_ready());
+      EXPECT_EQ(m.adapter(1).rx_horizon(sim::kTimeNever).quiet, 0u);
       checked = true;
       m.adapter(1).host_rx_take(ctx);
     }
   });
   w.run();
   EXPECT_TRUE(checked);
+}
+
+TEST(Fastpath, RxHorizonBoundsWhatOtherProgramsCanStillSend) {
+  sim::World w(2);
+  SpMachine m(w, SpParams::thin_node());
+  const Tb2Adapter& ad = m.adapter(1);
+  // Nothing in flight: the next packet needs a doorbell first.
+  Tb2Adapter::RxHorizon h = ad.rx_horizon(sim::usec(40));
+  EXPECT_EQ(h.quiet, sim::usec(40) + ad.rx_floor());
+  EXPECT_EQ(h.unscheduled, h.quiet);
+  // No other program: nothing can ever arrive.
+  h = ad.rx_horizon(sim::kTimeNever);
+  EXPECT_EQ(h.quiet, sim::kTimeNever);
+  EXPECT_EQ(h.unscheduled, sim::kTimeNever);
+
+  sim::Time arrival_bound = 0, visible = 0;
+  w.spawn(0, [&](sim::NodeCtx& ctx) {
+    m.adapter(0).host_enqueue(ctx, mk(1, 224, 1));
+    const sim::Time submit = ctx.now();
+    // The packet is fused and still short of the switch.  A fault hook
+    // armed now could send it per-hop, so the horizon after `submit` stops
+    // at the switch-to-host floor; once it is past the switch, only the
+    // ledger and fresh doorbells bound it.
+    const Tb2Adapter::RxHorizon early = ad.rx_horizon(submit);
+    EXPECT_LT(early.unscheduled, submit + ad.rx_floor());
+    EXPECT_GT(early.unscheduled, submit);
+    EXPECT_LE(early.quiet, early.unscheduled);
+    const sim::Time late_lb = submit + ad.rx_floor();
+    const Tb2Adapter::RxHorizon late = ad.rx_horizon(late_lb);
+    EXPECT_EQ(late.unscheduled, late_lb + ad.rx_floor());
+    EXPECT_LT(late.quiet, late.unscheduled);
+    arrival_bound = late.quiet;
+  });
+  w.spawn(1, [&](sim::NodeCtx& ctx) {
+    while (!m.adapter(1).host_rx_ready()) ctx.elapse(1);
+    visible = ctx.now();
+  });
+  w.run();
+  // With nothing else in flight the ledger term is the arrival itself.
+  EXPECT_EQ(visible, arrival_bound);
+}
+
+// The floor is the doorbell-to-visible time of a header-only packet on an
+// idle machine, so no packet can beat it; it must also be tight, or the
+// horizon would merge fewer polls than it could.
+TEST(Fastpath, RxFloorIsTheIdleMinimumPacketLatency) {
+  for (const SpParams& base : {SpParams::thin_node(), SpParams::wide_node()}) {
+    for (bool fastpath : {true, false}) {
+      SpParams params = base;
+      params.network_fastpath = fastpath;
+      sim::World w(2);
+      SpMachine m(w, params);
+      sim::Time doorbell = 0, visible = 0;
+      w.spawn(0, [&](sim::NodeCtx& ctx) {
+        m.adapter(0).host_enqueue(ctx, mk(1, 0));  // submits at return
+        doorbell = ctx.now();
+      });
+      w.spawn(1, [&](sim::NodeCtx& ctx) {
+        while (!m.adapter(1).host_rx_ready()) ctx.elapse(1);
+        visible = ctx.now();
+      });
+      w.run();
+      const sim::Time floor = m.adapter(1).rx_floor();
+      EXPECT_GT(floor, sim::usec(15));
+      EXPECT_LE(floor, visible - doorbell) << "fastpath " << fastpath;
+      EXPECT_EQ(floor, visible - doorbell) << "fastpath " << fastpath;
+    }
+  }
 }
 
 TEST(Fastpath, LazySendFifoFreeMatchesPerHopTick) {
