@@ -689,6 +689,26 @@ void Endpoint::compute(double us) {
   adapter_.clear_rx_notify();
 }
 
+SPAM_HOT sim::Time Endpoint::idle_step(void* endpoint) {
+  Endpoint& ep = *static_cast<Endpoint*>(endpoint);
+  // poll() past its elapse: the rx loop would not run, progress_bulk()
+  // would find every queued chunk window-blocked (so never reach the
+  // FIFO-space query and its lazy settlement), and the keep-alive tail is
+  // all that changes.
+  if (ep.in_poll_ || ep.adapter_.host_rx_ready() ||
+      !ep.bulk_progress_frozen()) {
+    return 0;
+  }
+  if (ep.have_unacked_retrans()) {
+    // A due probe sends packets: leave that poll to the fiber.
+    if (ep.empty_poll_streak_ + 1 >= ep.params_.keepalive_poll_threshold) {
+      return 0;
+    }
+    ++ep.empty_poll_streak_;
+  }
+  return sim::usec(ep.params_.poll_empty_us);
+}
+
 SPAM_HOT void Endpoint::poll() {
   ctx_.elapse(sim::usec(params_.poll_empty_us));
   bool received = false;

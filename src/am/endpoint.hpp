@@ -117,12 +117,19 @@ class Endpoint {
   /// identical total virtual time (see merge_empty_polls), so per-poll wake
   /// events disappear while every observable instant stays bit-identical.
   ///
-  /// A cross-node wait must not use poll_until: a flag set by another
-  /// node's program or handler can flip inside a merged run, and the loop
-  /// sees it up to one merged run late.  Write such a wait as
-  /// `while (!flag) ep.poll();`, which samples after every quantum.  The
-  /// one exception is a program's last wait when nothing reads the instant
-  /// it ends, such as a responder waiting for the run to finish.
+  /// A node-local `done` is necessary for the merge but not sufficient.
+  /// The merged wake is queued one merged run early, so at its instant it
+  /// runs ahead of any event queued for that instant in between, where the
+  /// per-poll loop's wake, queued one quantum before, runs after it.  The
+  /// rx horizon keeps this node's arrivals out of that window, but not a
+  /// third node's own wake: when both programs then send, the switch and
+  /// the receivers see them in the other order.  Use poll_until for the AM
+  /// layer's own waits and in two-node programs.  A wait among three or
+  /// more nodes, or one whose flag another node can set, is written
+  /// `while (!flag) ep.wait_poll();`, which keeps every event's place in
+  /// the queue.  The one exception is a program's last wait when nothing
+  /// reads the instant it ends, such as a responder waiting for the run to
+  /// finish.
   template <typename Pred>
   void poll_until(Pred&& done) {
     while (!done()) {
@@ -130,6 +137,26 @@ class Endpoint {
       poll();
     }
   }
+
+  /// One poll of a wait loop, such as Split-C's sync or MPI_Wait, whose
+  /// condition and pending work change only in this node's handlers.
+  /// Under the fast path the poll's wake runs idle_step on the scheduler
+  /// stack, and so does each following poll the step proves empty: the
+  /// fiber resumes only for a poll that may have work.  Every event, its
+  /// instant and its place in the queue stay those of `while (...) poll();`
+  /// (see NodeCtx::IdleStep).
+  void wait_poll() {
+    ctx_.arm_idle_step(&Endpoint::idle_step, this);
+    poll();
+  }
+
+  /// NodeCtx::IdleStep over an Endpoint*.  A top-level poll at this
+  /// instant has nothing to do when the rx FIFO is empty, bulk progress is
+  /// frozen and no keep-alive probe is due: then it advances the keep-alive
+  /// streak as that poll would and returns the next poll's quantum.
+  /// Otherwise it returns 0, touching nothing.  Layers that keep their own
+  /// pending work check it first and call this last.
+  static sim::Time idle_step(void* endpoint);
 
   /// Charges `us` of application computation.  In polling mode (default)
   /// the network is not serviced until the computation ends — the paper's

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "sim/hot.hpp"
+
 namespace spam::mpi {
 
 namespace {
@@ -500,6 +502,24 @@ void MpiAm::progress() {
       }
     }
   }
+}
+
+void MpiAm::wait_progress() {
+  // progress() opens with the endpoint poll's elapse, which takes the step.
+  ctx_.arm_idle_step(&MpiAm::idle_step, this);
+  progress();
+}
+
+SPAM_HOT sim::Time MpiAm::idle_step(void* self) {
+  auto* mpi = static_cast<MpiAm*>(self);
+  if (!mpi->ready_stores_.empty()) return 0;
+  for (int n = 0; n < mpi->world_size_; ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    if (!mpi->pending_sends_[i].empty() || !mpi->pending_frees_[i].empty()) {
+      return 0;
+    }
+  }
+  return am::Endpoint::idle_step(&mpi->ep_);
 }
 
 // ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ class MpiAm final : public Mpi {
   int isend(const void* buf, std::size_t bytes, int dst, int tag) override;
   int irecv(void* buf, std::size_t bytes, int src, int tag) override;
   void progress() override;
+  void wait_progress() override;
 
   /// Wires the sender-side view of peer regions; called by MpiAmNet after
   /// all devices exist.
@@ -168,6 +169,10 @@ class MpiAm final : public Mpi {
                        am::Token* reply_token);
   void drain_ready_stores();
   void retry_pending_sends();
+  /// NodeCtx::IdleStep over an MpiAm*: a progress() with no ready store,
+  /// pending send or pending free does nothing past its poll, so an empty
+  /// poll (am::Endpoint::idle_step) makes it empty.
+  static sim::Time idle_step(void* self);
 
   am::Endpoint& ep_;
   MpiAmConfig cfg_;

@@ -16,7 +16,7 @@ bool Mpi::test(int req, Status* st) {
 }
 
 void Mpi::wait(int req, Status* st) {
-  while (!test(req, st)) progress();
+  while (!test(req, st)) wait_progress();
 }
 
 void Mpi::waitall(std::vector<int>& reqs) {

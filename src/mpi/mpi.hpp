@@ -37,6 +37,11 @@ class Mpi {
   virtual int irecv(void* buf, std::size_t bytes, int src, int tag) = 0;
   /// Drives the device: services handlers, pending protocol steps.
   virtual void progress() = 0;
+  /// One progress() of a blocking wait, whose request completes only in
+  /// this node's handlers or its own progress.  Devices whose empty
+  /// progress can run off the node's fiber override it (MPI-AM); the rest
+  /// progress.
+  virtual void wait_progress() { progress(); }
 
   // --- Blocking wrappers and completion (shared) ---------------------------
 

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "sim/hot.hpp"
 #include "sim/trace.hpp"
 
 namespace spam::sim {
@@ -54,21 +55,38 @@ void NodeCtx::elapse(Time d) {
   // wake timer and two fiber switches are pure overhead — advance the
   // clock in place.  Equivalent because nothing could have observed or
   // interleaved with this node while it slept.
-  if (engine().try_skip_elapse(d)) return;
+  if (engine().try_skip_elapse(d)) {
+    idle_step_ = nullptr;  // the fiber goes on with the poll itself
+    return;
+  }
   sleep_state_ = SleepState::kElapsing;
   wake_at_ = engine().now() + d;
-  auto wake = [this] {
-    // Only our own timer ends an elapse; resumers cannot shorten charged
-    // CPU time (they latch wake_pending_ instead).
-    assert(sleep_state_ == SleepState::kElapsing);
-    sleep_state_ = SleepState::kRunning;
-    RunningNodeGuard guard(this);
-    fiber_->resume();
-  };
+  auto wake = [this] { this->wake(); };
   static_assert(Engine::Action::fits_inline<decltype(wake)>,
                 "elapse() timer closure must not heap-allocate");
   engine().after(d, std::move(wake));
   Fiber::yield();
+}
+
+SPAM_HOT void NodeCtx::wake() {
+  // Only our own timer ends an elapse; resumers cannot shorten charged CPU
+  // time (they latch wake_pending_ instead).
+  assert(sleep_state_ == SleepState::kElapsing);
+  while (idle_step_ != nullptr) {
+    const Time next = idle_step_(idle_arg_);
+    if (next == 0) break;
+    // The step did the fiber's empty poll, and the fiber's next poll would
+    // open with elapse(next) at this very point of this very event, with
+    // no debt to fold: take the same skip-or-timer path.
+    if (engine().try_skip_elapse(next)) continue;
+    wake_at_ = engine().now() + next;
+    engine().after(next, [this] { wake(); });
+    return;
+  }
+  idle_step_ = nullptr;
+  sleep_state_ = SleepState::kRunning;
+  RunningNodeGuard guard(this);
+  fiber_->resume();
 }
 
 void NodeCtx::suspend() {
@@ -182,6 +200,9 @@ void World::launch_pending() {
     ctx.fiber_ = std::make_unique<Fiber>(
         [&ctx, prog = std::move(program)] {
           prog(ctx);
+          // A step armed for a poll that never came must not run at this
+          // settlement's wake, nor at the node's next program's first one.
+          ctx.idle_step_ = nullptr;
           // A program that ends mid-charge still owes its CPU time: the
           // node's completion instant must match the per-call path.
           ctx.settle();

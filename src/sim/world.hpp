@@ -96,6 +96,25 @@ class NodeCtx {
   /// or does nothing while the node has none.
   std::function<void()> make_resumer();
 
+  /// A wait loop's empty poll, run without its fiber.  Called in the wake
+  /// event of the elapse it was armed for, on the scheduler stack, at the
+  /// instant the fiber would have resumed.  If the poll that elapse belongs
+  /// to provably has nothing to do, the step does that poll's bookkeeping
+  /// and returns the elapse that opens the loop's next poll; otherwise it
+  /// returns 0, touching nothing, and the fiber resumes.
+  using IdleStep = Time (*)(void* arg);
+
+  /// Arms `step(arg)` for this node's next elapse only.  An elapse skipped
+  /// in place drops it (the fiber carries on with the poll itself); a real
+  /// wake runs it, and it stays armed for each elapse it re-arms until it
+  /// returns 0.  No-op unless the engine's fast path is on, so the per-hop
+  /// reference mode runs every poll on the fiber.
+  void arm_idle_step(IdleStep step, void* arg) {
+    if (!engine().fastpath()) return;
+    idle_step_ = step;
+    idle_arg_ = arg;
+  }
+
   /// Spins until `done()` returns true, charging `poll_cost` per check.
   /// Mirrors the paper's polling discipline: waiting burns CPU in poll
   /// quanta, so "timeouts" can be emulated by counting unsuccessful polls.
@@ -116,6 +135,9 @@ class NodeCtx {
 
   // True while this node's program is launched and not finished.
   bool busy() const { return fiber_ != nullptr && !fiber_->finished(); }
+  // The elapse timer's event: runs the armed idle step, else resumes the
+  // program.
+  void wake();
 
   World* world_;
   int rank_;
@@ -127,6 +149,9 @@ class NodeCtx {
   // While kElapsing: the instant the wake timer resumes the program.
   Time wake_at_ = 0;
   bool wake_pending_ = false;
+  // The idle step armed for the current or next elapse (nullptr: none).
+  IdleStep idle_step_ = nullptr;
+  void* idle_arg_ = nullptr;
   // Local virtual clock: CPU time charged but not yet materialized as an
   // engine sleep, and the number of charge() calls it folds (each one is
   // an elapse the per-call path would have performed; settlement reports

@@ -105,7 +105,7 @@ SPAM_HOT PayloadRef& PayloadRef::operator=(const PayloadRef& other) noexcept {
     if (other.buf_ != nullptr) {
       ++PayloadPool::header_of(other.buf_)->refcount;
     }
-    release();
+    if (buf_ != nullptr) release();
     buf_ = other.buf_;
     off_ = other.off_;
     len_ = other.len_;
@@ -115,7 +115,7 @@ SPAM_HOT PayloadRef& PayloadRef::operator=(const PayloadRef& other) noexcept {
 
 SPAM_HOT PayloadRef& PayloadRef::operator=(PayloadRef&& other) noexcept {
   if (this != &other) {
-    release();
+    if (buf_ != nullptr) release();
     buf_ = other.buf_;
     off_ = other.off_;
     len_ = other.len_;
@@ -127,9 +127,8 @@ SPAM_HOT PayloadRef& PayloadRef::operator=(PayloadRef&& other) noexcept {
 }
 
 SPAM_HOT void PayloadRef::release() noexcept {
-  if (buf_ != nullptr) {
-    PayloadPool::instance().release_buffer(buf_);
-  }
+  assert(buf_ != nullptr);
+  PayloadPool::instance().release_buffer(buf_);
 }
 
 SPAM_HOT const std::byte* PayloadRef::data() const noexcept { return buf_ + off_; }

@@ -45,7 +45,11 @@ class PayloadRef {
   }
   PayloadRef& operator=(const PayloadRef& other) noexcept;
   PayloadRef& operator=(PayloadRef&& other) noexcept;
-  ~PayloadRef() { release(); }
+  // Moved-from and empty handles are most of the destroyed ones: test for
+  // a buffer inline and leave only a live one to release().
+  ~PayloadRef() {
+    if (buf_ != nullptr) release();
+  }
 
   const std::byte* data() const noexcept;
   std::size_t size() const noexcept { return len_; }
@@ -71,7 +75,7 @@ class PayloadRef {
   void assign(std::size_t len, std::byte fill);
 
   void reset() noexcept {
-    release();
+    if (buf_ != nullptr) release();
     buf_ = nullptr;
     off_ = 0;
     len_ = 0;
@@ -80,6 +84,7 @@ class PayloadRef {
  private:
   friend class PayloadPool;
 
+  // Drops this handle's reference to its buffer; requires buf_ != nullptr.
   void release() noexcept;
 
   // Points at the buffer's data area; the control header lives

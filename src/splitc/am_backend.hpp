@@ -30,6 +30,7 @@ class AmBackend final : public Transport {
                 std::size_t len) override;
   int outstanding() const override { return outstanding_; }
   void poll() override { ep_.poll(); }
+  void wait_poll() override { ep_.wait_poll(); }
 
   am::Endpoint& endpoint() { return ep_; }
 

@@ -29,7 +29,7 @@ void Runtime::sync() {
   // by engine events (LogGP backend), so materialize charge debt before
   // the first read.
   ctx_.settle();
-  while (transport_.outstanding() > 0) transport_.poll();
+  while (transport_.outstanding() > 0) transport_.wait_poll();
 }
 
 void Runtime::barrier() {
@@ -46,7 +46,7 @@ void Runtime::barrier() {
     transport_.put_small(to, &peer.barrier_flags_[static_cast<std::size_t>(r)],
                          gen, 8);
     while (barrier_flags_[static_cast<std::size_t>(r)] < gen) {
-      transport_.poll();
+      transport_.wait_poll();
     }
   }
 }
@@ -70,7 +70,7 @@ std::uint64_t Runtime::bcast(std::uint64_t value, int root) {
       transport_.put_small(i, &peer.redux_gens_[slot], gen, 8);
     }
   }
-  while (redux_gens_[slot] < gen) transport_.poll();
+  while (redux_gens_[slot] < gen) transport_.wait_poll();
   const std::uint64_t result = redux_vals_[slot];
   // The closing barrier keeps a fast peer's *next* collective from
   // overwriting the slots before everyone has read this round's result.
@@ -98,7 +98,7 @@ std::uint64_t reduce_impl(Runtime& rt, SplitCNet& net, Transport& transport,
     // Wait for every contribution, combine in rank order (deterministic),
     // then push the result to everyone.
     for (int i = 1; i < p; ++i) {
-      while (gens[static_cast<std::size_t>(i)] < gen) transport.poll();
+      while (gens[static_cast<std::size_t>(i)] < gen) transport.wait_poll();
     }
     std::uint64_t acc = vals[0];
     for (int i = 1; i < p; ++i) {

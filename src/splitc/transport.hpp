@@ -41,6 +41,12 @@ class Transport {
   /// Makes communication progress (services incoming ops, acks, ...).
   virtual void poll() = 0;
 
+  /// One poll of a runtime wait loop (sync, barrier, collectives), whose
+  /// condition only this node's incoming operations can change.  Backends
+  /// whose polls can run off the node's fiber override it (see
+  /// am::Endpoint::wait_poll); the rest poll.
+  virtual void wait_poll() { poll(); }
+
   /// Relative computation slowdown of this machine vs. the SP (1.0 = SP).
   virtual double cpu_scale() const { return 1.0; }
 };

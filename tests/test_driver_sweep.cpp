@@ -1,7 +1,8 @@
 // SweepRunner: slot-ordered aggregation under adversarial job durations,
 // deterministic exception selection, fiber reaping and stack reuse on
-// worker threads, and the serial-vs-parallel determinism guarantee on a
-// real Figure-3 sub-sweep.  TSan-clean by design (the `tsan` CMake preset
+// worker threads, NAS worlds whose waits poll off the node fibers, and
+// the serial-vs-parallel determinism guarantee on a real Figure-3
+// sub-sweep.  TSan-clean by design (the `tsan` CMake preset
 // runs everything labelled `driver` under ThreadSanitizer).
 #include <gtest/gtest.h>
 
@@ -16,8 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "apps/nas.hpp"
 #include "driver/sweep.hpp"
 #include "harness.hpp"
+#include "mpif/mpi_world.hpp"
 #include "sim/action.hpp"
 #include "sim/world.hpp"
 
@@ -205,6 +208,43 @@ TEST(SweepRunner, WorkerThreadsReapAndReuseFiberStacks) {
     EXPECT_EQ(parallel[i].stacks, static_cast<std::size_t>(kNodes))
         << "point " << i;
     EXPECT_GT(parallel[i].end, 0u) << "point " << i;
+  }
+  EXPECT_TRUE(serial == parallel);
+}
+
+TEST(SweepRunner, ParallelNasWorldsMatchSerial) {
+  // 4-node NAS kernels over MPI-AM, one World per point: their MPI_Wait
+  // and collective polls run as idle steps in wake events, on the worker
+  // thread's scheduler stack rather than a node fiber's.  Results must
+  // match a serial run bit for bit.
+  struct Point {
+    double time_s = 0;
+    double checksum = 0;
+    bool finished = false;
+    bool operator==(const Point&) const = default;
+  };
+  using Kernel = spam::apps::NasResult (*)(spam::mpi::MpiWorld&, int, int);
+  const Kernel kernels[] = {spam::apps::run_ft, spam::apps::run_mg,
+                            spam::apps::run_bt, spam::apps::run_sp};
+  std::vector<std::function<Point()>> points;
+  for (Kernel kernel : kernels) {
+    for (spam::mpi::MpiImpl impl : {spam::mpi::MpiImpl::kAmOptimized,
+                                    spam::mpi::MpiImpl::kAmUnoptimized}) {
+      points.push_back([kernel, impl] {
+        spam::mpi::MpiWorldConfig cfg;
+        cfg.nodes = 4;
+        cfg.impl = impl;
+        spam::mpi::MpiWorld w(cfg);
+        const spam::apps::NasResult r = kernel(w, 16, 1);
+        return Point{r.time_s, r.checksum, r.finished};
+      });
+    }
+  }
+  const std::vector<Point> serial = SweepRunner(1).run(points);
+  const std::vector<Point> parallel = SweepRunner(4).run(points);
+  ASSERT_EQ(parallel.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_TRUE(parallel[i].finished) << "point " << i;
   }
   EXPECT_TRUE(serial == parallel);
 }

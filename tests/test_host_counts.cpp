@@ -280,16 +280,16 @@ void PrintTo(const Row& row, std::ostream* os) { *os << row.name; }
 const Row kRows[] = {
     {"pingpong", pingpong, {15766, 11766, 4000, 102683600}},
     {"bulk", bulk, {73543, 54215, 19328, 122633164}},
-    {"mm", mm, {68410, 64058, 3308, 26389936}},
-    {"smpsort_small", smpsort_small, {88446, 72027, 15224, 18194164}},
-    {"smpsort_bulk", smpsort_bulk, {13803, 12412, 1081, 2763512}},
-    {"rdxsort_small", rdxsort_small, {317118, 252763, 59024, 65787898}},
-    {"rdxsort_bulk", rdxsort_bulk, {47880, 40629, 3542, 9236014}},
-    {"nas_ft", nas_ft, {1923, 1218, 291, 2595662}},
-    {"nas_mg", nas_mg, {2002, 1735, 264, 1620358}},
-    {"nas_lu", nas_lu, {2520, 2428, 86, 1106466}},
-    {"nas_bt", nas_bt, {2261, 2019, 242, 6764383}},
-    {"nas_sp", nas_sp, {5588, 5258, 330, 5057766}},
+    {"mm", mm, {68410, 10391, 3308, 26389936}},
+    {"smpsort_small", smpsort_small, {88446, 57668, 15224, 18194164}},
+    {"smpsort_bulk", smpsort_bulk, {13803, 4406, 1081, 2763512}},
+    {"rdxsort_small", rdxsort_small, {317118, 221222, 59024, 65787898}},
+    {"rdxsort_bulk", rdxsort_bulk, {47880, 12556, 3542, 9236014}},
+    {"nas_ft", nas_ft, {1923, 815, 291, 2595662}},
+    {"nas_mg", nas_mg, {2002, 947, 264, 1620358}},
+    {"nas_lu", nas_lu, {2520, 385, 86, 1106466}},
+    {"nas_bt", nas_bt, {2261, 855, 242, 6764383}},
+    {"nas_sp", nas_sp, {5588, 1386, 330, 5057766}},
 };
 
 class HostCounts : public ::testing::TestWithParam<Row> {};

@@ -426,6 +426,108 @@ TEST(ModeEquivalence, ReusedMpiWorldNasPasses) {
   }
 }
 
+// --- Wait loops: Split-C and MPI polls that run off the fiber ----------------
+//
+// Under the fast path the Split-C runtime's waits (sync, barrier, bcast,
+// reduce) and MPI_Wait over MPI-AM run each provably empty poll in its wake
+// event (am::Endpoint::wait_poll).  With three or more nodes another
+// node's wake can share any poll's instant, so the sweep covers node
+// counts, sizes and seeds; merging those polls instead (the fold of
+// Endpoint::poll_until) reorders such ties and fails here.
+
+TEST(ModeEquivalence, WaitLoopSweepMatchesPerHop) {
+  using apps::SortVariant;
+  using App = std::function<apps::PhaseTimes(splitc::SplitCWorld&)>;
+  struct Input {
+    std::string name;
+    int nodes;
+    App run;
+    // Send-FIFO entries, 0 for the thin node's.  A FIFO little wider than
+    // a chunk blocks bulk chunks on FIFO space while their window is open,
+    // which time alone can end: such a poll is never idle.
+    int send_fifo = 0;
+  };
+  std::vector<Input> inputs;
+  for (int nodes : {3, 4, 8}) {
+    for (std::size_t keys : {std::size_t{480}, std::size_t{1920}}) {
+      for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{11}}) {
+        for (SortVariant v : {SortVariant::kSmallMessage, SortVariant::kBulk}) {
+          const std::string what =
+              std::string(v == SortVariant::kBulk ? "_bulk" : "_small") +
+              " nodes " + std::to_string(nodes) + " keys " +
+              std::to_string(keys) + " seed " + std::to_string(seed);
+          inputs.push_back({"smpsort" + what, nodes,
+                            [=](splitc::SplitCWorld& w) {
+                              return apps::run_sample_sort(w, keys, v, seed);
+                            }});
+          inputs.push_back({"rdxsort" + what, nodes,
+                            [=](splitc::SplitCWorld& w) {
+                              return apps::run_radix_sort(w, keys, v, seed);
+                            }});
+        }
+      }
+    }
+  }
+  inputs.push_back({"rdxsort_bulk nodes 3 keys 24000 send fifo 40", 3,
+                    [](splitc::SplitCWorld& w) {
+                      return apps::run_radix_sort(w, 24000, SortVariant::kBulk,
+                                                  5);
+                    },
+                    /*send_fifo=*/40});
+  struct Matmul {
+    int nodes, nb, bd, send_fifo;
+  };
+  for (const Matmul mm : {Matmul{3, 3, 16, 0}, Matmul{4, 2, 24, 0},
+                          Matmul{8, 4, 8, 0}, Matmul{8, 3, 32, 0},
+                          Matmul{8, 2, 96, 40}}) {
+    inputs.push_back({"mm nb " + std::to_string(mm.nb) + " bd " +
+                          std::to_string(mm.bd) + " nodes " +
+                          std::to_string(mm.nodes) + " send fifo " +
+                          std::to_string(mm.send_fifo),
+                      mm.nodes,
+                      [=](splitc::SplitCWorld& w) {
+                        return apps::run_matmul(w, mm.nb, mm.bd);
+                      },
+                      mm.send_fifo});
+  }
+  for (const Input& in : inputs) {
+    auto run = [&](Mode m) {
+      splitc::SplitCConfig cfg = splitc_cfg(m, in.nodes);
+      if (in.send_fifo != 0) cfg.hw.send_fifo_entries = in.send_fifo;
+      splitc::SplitCWorld w(cfg);
+      return in.run(w);
+    };
+    expect_phase_equal(run(kPerHop), run(kDefault), in.name);
+  }
+
+  const NasKernel kernels[] = {
+      {"FT", apps::run_ft, 32}, {"MG", apps::run_mg, 32},
+      {"LU", apps::run_lu, 128}, {"BT", apps::run_bt, 32},
+      {"SP", apps::run_sp, 32},
+  };
+  for (mpi::MpiImpl impl :
+       {mpi::MpiImpl::kAmOptimized, mpi::MpiImpl::kAmUnoptimized}) {
+    auto series = [&](Mode m) {
+      mpi::MpiWorld w(mpi_cfg(impl, m));
+      std::vector<apps::NasResult> out;
+      for (int pass = 0; pass < 6; ++pass) {
+        for (const NasKernel& k : kernels) out.push_back(k.run(w, k.n, 1));
+      }
+      return out;
+    };
+    const std::vector<apps::NasResult> def = series(kDefault);
+    const std::vector<apps::NasResult> ref = series(kPerHop);
+    ASSERT_EQ(ref.size(), def.size());
+    for (std::size_t i = 0; i < def.size(); ++i) {
+      expect_nas_equal(ref[i], def[i],
+                       std::string(kernels[i % std::size(kernels)].name) +
+                           (impl == mpi::MpiImpl::kAmOptimized ? " opt"
+                                                               : " unopt") +
+                           " pass " + std::to_string(i / std::size(kernels)));
+    }
+  }
+}
+
 // --- The AM rx horizon: merged polls against packets not yet sent ----------
 //
 // Under the fast path a node waiting in Endpoint::poll_until merges its

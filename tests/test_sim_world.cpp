@@ -2,11 +2,13 @@
 // deadlock detection, determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sim/fiber.hpp"
 #include "sim/world.hpp"
 
 namespace spam::sim {
@@ -318,6 +320,134 @@ TEST(FiberLifecycle, SecondProgramOnABusyNodeThrows) {
   w.run();
   EXPECT_NO_THROW(w.spawn(0, noop)) << "finished";
   w.run();
+}
+
+// --- Idle steps: a wait loop's empty polls run in the wake event -----------
+
+// A scripted idle step: records the engine instant of each call, accepts
+// `accept` calls with `quantum` as the next elapse, then declines.
+struct ScriptedStep {
+  Engine* engine = nullptr;
+  int accept = 0;
+  Time quantum = 0;
+  std::vector<Time> calls;
+
+  static Time run(void* arg) {
+    auto* s = static_cast<ScriptedStep*>(arg);
+    s->calls.push_back(s->engine->now());
+    if (s->accept == 0) return 0;
+    --s->accept;
+    return s->quantum;
+  }
+};
+
+TEST(IdleStep, FiresOnlyAtTheArmedElapsesWake) {
+  World w(2);
+  ScriptedStep step{&w.engine()};
+  Time after_first = 0, after_second = 0;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.arm_idle_step(&ScriptedStep::run, &step);
+    ctx.elapse(10);
+    after_first = ctx.now();
+    ctx.elapse(10);  // not armed
+    after_second = ctx.now();
+  });
+  // A neighbour with an event every tick: neither elapse can skip in place.
+  w.spawn(1, [](NodeCtx& ctx) {
+    for (int i = 0; i < 40; ++i) ctx.elapse(1);
+  });
+  w.run();
+  EXPECT_EQ(step.calls, std::vector<Time>{10});
+  EXPECT_EQ(after_first, 10u);
+  EXPECT_EQ(after_second, 20u);
+}
+
+TEST(IdleStep, ElapseSkippedInPlaceDropsTheStep) {
+  World w(2);
+  ScriptedStep step{&w.engine()};
+  Time end = 0;
+  // Node 1 launches first, so its wake at 100 is all that is queued.
+  w.spawn(1, [](NodeCtx& ctx) { ctx.elapse(100); });
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.arm_idle_step(&ScriptedStep::run, &step);
+    ctx.elapse(10);   // nothing pending at or before 10: skipped
+    ctx.elapse(200);  // a real wake, but the step went with the skip
+    end = ctx.now();
+  });
+  const std::uint64_t executed = w.engine().events_executed();
+  w.run();
+  EXPECT_TRUE(step.calls.empty());
+  EXPECT_EQ(end, 210u);
+  // Two launches, node 1's wake and node 0's second wake.
+  EXPECT_EQ(w.engine().events_executed() - executed, 4u);
+}
+
+TEST(IdleStep, DecliningStepResumesTheFiberAtThatInstant) {
+  World w(2);
+  ScriptedStep step{&w.engine(), /*accept=*/2, /*quantum=*/7};
+  Time resumed = 0;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.arm_idle_step(&ScriptedStep::run, &step);
+    ctx.elapse(5);
+    resumed = ctx.now();
+  });
+  // Node 1's wake at 5 keeps node 0's first elapse from skipping; the
+  // step's two re-arms then skip in place, as the fiber's elapses would.
+  w.spawn(1, [](NodeCtx& ctx) { ctx.elapse(5); });
+  const std::uint64_t resumes = Fiber::resume_count();
+  w.run();
+  EXPECT_EQ(step.calls, (std::vector<Time>{5, 12, 19}));
+  EXPECT_EQ(resumed, 19u);
+  // Two launches, node 1's wake, and node 0's one resume at the declining
+  // step's instant.
+  EXPECT_EQ(Fiber::resume_count() - resumes, 4u);
+}
+
+TEST(IdleStep, RearmingHonoursTheRunDeadline) {
+  World w(2);
+  ScriptedStep step{&w.engine(), /*accept=*/6, /*quantum=*/10};
+  Time resumed = 0;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.arm_idle_step(&ScriptedStep::run, &step);
+    ctx.elapse(5);
+    resumed = ctx.now();
+  });
+  w.spawn(1, [](NodeCtx& ctx) { ctx.elapse(5); });
+  EXPECT_FALSE(w.run_until(42));
+  // 45 is past the deadline: that re-arm queued a timer instead.
+  EXPECT_EQ(step.calls, (std::vector<Time>{5, 15, 25, 35}));
+  EXPECT_EQ(w.engine().now(), 35u);
+  w.run();
+  EXPECT_EQ(step.calls, (std::vector<Time>{5, 15, 25, 35, 45, 55, 65}));
+  EXPECT_EQ(resumed, 65u);
+}
+
+TEST(IdleStep, AFinishedProgramsStepNeverRuns) {
+  World w(2);
+  ScriptedStep step{&w.engine(), /*accept=*/1, /*quantum=*/10};
+  // Armed, then the program ends owing CPU time: its closing settlement
+  // elapses for real (node 1 wakes first) but is no poll.
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.charge(3);
+    ctx.arm_idle_step(&ScriptedStep::run, &step);
+  });
+  w.spawn(1, [](NodeCtx& ctx) { ctx.elapse(1); });
+  w.run();
+  // Armed and ended clean: the node's next program starts with no step.
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.arm_idle_step(&ScriptedStep::run, &step);
+  });
+  w.run();
+  Time end = 0;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.elapse(10);
+    end = ctx.now();
+  });
+  w.spawn(1, [](NodeCtx& ctx) { ctx.elapse(1); });
+  const Time start = w.engine().now();
+  w.run();
+  EXPECT_TRUE(step.calls.empty());
+  EXPECT_EQ(end, start + 10);
 }
 
 TEST(World, DeterministicAcrossRuns) {
