@@ -126,7 +126,7 @@ class NodeCtx {
   void poll_until(Pred&& done, Time poll_cost) {
     assert(poll_cost > 0 && "zero-cost poll loop would freeze virtual time");
     settle();
-    while (!done()) elapse(poll_cost);
+    while (!done()) elapse(poll_cost);  // spam-lint: charge-ok (poll quantum)
   }
 
  private:
@@ -239,8 +239,7 @@ inline Time NodeCtx::now() {
 
 // Under the production local-clock regime charge() only accrues debt; the
 // elapse() below is the local_clock = false reference mode (perfbench
-// --ablation and the equivalence suite), which no inline-handler build
-// enables.  spam-lint: never-suspends
+// --ablation and the equivalence suite).
 inline void NodeCtx::charge(Time d) {
   assert(Fiber::current() == fiber_.get() &&
          "charge() must run on the node fiber");

@@ -1,8 +1,8 @@
 // Fixture: transitive hot-path rules.  None of the flagged functions is
 // SPAM_HOT itself — each is *reachable* from a SPAM_HOT root through the
-// call graph, one or two call levels deep.  Under --no-callgraph (the v1
-// per-body linter) this file is clean; with the call graph both EXPECT
-// lines fire.  tests/test_spam_lint.cpp checks both directions.
+// call graph, one or two call levels deep.  A per-body scan sees nothing
+// here, so every finding carries the `[on the hot path: ...]` chain;
+// tests/test_spam_lint.cpp asserts that.
 //
 // This file is linted, never compiled.
 #include <vector>

@@ -7,11 +7,10 @@
 #
 # Stages (in order):
 #   lint           spam_lint over src/ bench/ tools/ with the audited
-#                  allowlist — determinism, hot-path, fiber, header rules,
-#                  the cross-TU transitive passes and the AM handler
-#                  classifier (artifacts under build-rwdi/lint/); stale
-#                  allowlist entries are errors, and the full-tree run
-#                  must finish inside a 2 s budget
+#                  allowlist — determinism, hot-path, fiber, header rules
+#                  and the cross-TU transitive passes (artifacts under
+#                  build-rwdi/lint/); stale allowlist entries are errors,
+#                  and the full-tree run must finish inside a 2 s budget
 #   lint-self      spam_lint over its own sources, plus a standalone
 #                  -fsyntax-only compile of each tool header (the tool is
 #                  not covered by the src/ header-hygiene object library)
@@ -54,7 +53,7 @@ run_preset_suite() {  # <preset> [ctest-preset]
 }
 
 if ! skipped lint; then
-  note "spam_lint (per-file rules + call graph + handler classifier)"
+  note "spam_lint (per-file rules + call graph)"
   cmake --preset relwithdebinfo >/dev/null
   cmake --build --preset relwithdebinfo -j "$JOBS" --target spam_lint
   LINT=./build-rwdi/tools/spam_lint/spam_lint
@@ -70,8 +69,7 @@ if ! skipped lint; then
   # the whole-tree walk (lex + rules + call graph) must stay under the 2 s
   # latency budget that keeps the lint viable as a pre-commit hook.
   start_ms=$(date +%s%3N)
-  "$LINT" --root . --stale=error \
-    --handlers-out "$LINT_OUT/handler_classes.json" src bench tools
+  "$LINT" --root . --stale=error src bench tools
   lint_ms=$(( $(date +%s%3N) - start_ms ))
   if [ "$lint_ms" -ge 2000 ]; then
     echo "lint gate: full-tree spam_lint took ${lint_ms} ms (budget 2000 ms)"

@@ -1,107 +1,11 @@
 #include "callgraph.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "rules.hpp"
 
 namespace spam::lint {
-namespace {
-
-// Call names that ARE suspension points, matched before any resolution.
-// `charge` is deliberately absent: its deferred-debt path never yields,
-// and its localclock-off fallback to elapse() is covered by the audited
-// `never-suspends` marker on NodeCtx::charge (see src/sim/world.hpp).
-const std::unordered_set<std::string>& suspension_primitives() {
-  static const std::unordered_set<std::string> set = {
-      "suspend", "elapse", "elapse_us", "settle", "poll_until", "yield",
-  };
-  return set;
-}
-
-// External names known not to suspend a fiber: libc/std free functions,
-// std container/utility members, and std type constructors.  A name that
-// is neither here nor defined in the linted tree taints its caller as
-// "reaches unresolved code".
-const std::unordered_set<std::string>& safe_externals() {
-  static const std::unordered_set<std::string> set = {
-      // libc / cstdio / cstring / cstdlib
-      "memcpy", "memmove", "memset", "memcmp", "strlen", "strcmp", "strncmp",
-      "strchr", "strstr", "snprintf", "sprintf", "printf", "fprintf",
-      "fputc", "fputs", "puts", "fwrite", "fread", "fopen", "fclose",
-      "fflush", "ferror", "abort", "exit", "atexit", "malloc", "calloc",
-      "realloc", "free", "strdup", "strtol", "strtoul", "strtoull",
-      "strtod", "atoi", "atol", "abs", "labs", "llabs", "assert",
-      "isalpha", "isalnum", "isdigit", "isspace", "islower", "isupper",
-      "tolower", "toupper", "getline", "perror",
-      // <algorithm> / <numeric> / <utility> / <memory>
-      "min", "max", "clamp", "sort", "stable_sort", "fill", "fill_n",
-      "copy", "copy_n", "any_of", "all_of", "none_of", "find_if",
-      "find_first_of", "count_if", "accumulate", "iota", "lower_bound",
-      "upper_bound", "equal", "lexicographical_compare", "remove",
-      "remove_if", "unique", "reverse", "rotate", "swap", "exchange",
-      "move", "forward", "declval", "get_if", "make_pair", "make_tuple",
-      "tie", "apply", "visit", "holds_alternative", "distance", "advance",
-      "next", "prev", "make_unique", "make_shared", "addressof", "launder",
-      "to_string", "stoi", "stol", "stoull", "from_chars", "to_chars",
-      // container / string / smart-pointer members
-      "push_back", "emplace_back", "pop_back", "push_front", "emplace_front",
-      "pop_front", "emplace", "emplace_hint", "insert", "erase", "clear",
-      "resize", "reserve", "shrink_to_fit", "assign", "at", "front", "back",
-      "begin", "end", "cbegin", "cend", "rbegin", "rend", "empty", "data",
-      "capacity", "count", "contains", "find", "bucket_count", "substr",
-      "c_str", "str", "append", "compare", "length", "push", "pop", "top",
-      "reset", "release", "get_deleter", "swap", "load", "exchange",
-      "fetch_add", "fetch_sub", "compare_exchange_weak",
-      "compare_exchange_strong", "value", "value_or", "has_value",
-      "operator",
-      // std type constructors spelled as calls
-      "string", "vector", "pair", "tuple", "optional", "function",
-      "runtime_error", "logic_error", "out_of_range", "invalid_argument",
-      "length_error",
-  };
-  return set;
-}
-
-// ALL_CAPS identifiers are macros by repo convention (SPAM_TRACE,
-// SPAM_HOT, ...): opaque to a lexical parser, treated as neutral leaves
-// rather than unresolved taint.  Documented in docs/static-analysis.md.
-bool macro_like(const std::string& s) {
-  if (s.empty() || !(std::isupper(static_cast<unsigned char>(s[0])) != 0)) {
-    return false;
-  }
-  for (char c : s) {
-    if (!(std::isupper(static_cast<unsigned char>(c)) != 0 ||
-          std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '_')) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool has_marker_near(const LexedFile& file, int line, const char* marker) {
-  for (int l : {line, line - 1, line - 2}) {
-    auto it = file.markers.find(l);
-    if (it != file.markers.end() && it->second.count(marker) != 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-const char* handler_class_name(HandlerClass c) {
-  switch (c) {
-    case HandlerClass::kNeverSuspends:
-      return "NEVER_SUSPENDS";
-    case HandlerClass::kMaySuspend:
-      return "MAY_SUSPEND";
-    case HandlerClass::kUnknown:
-      return "UNKNOWN";
-  }
-  return "UNKNOWN";
-}
 
 void CallGraph::add_file(const LexedFile* file, std::vector<FunctionSym> syms) {
   for (FunctionSym& s : syms) {
@@ -113,116 +17,32 @@ void CallGraph::add_file(const LexedFile* file, std::vector<FunctionSym> syms) {
 }
 
 void CallGraph::finalize() {
-  // Name index over real definitions (handler lambdas and synthesized
-  // registration records are roots, never call targets).
   std::unordered_map<std::string, std::vector<int>> by_name;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const FunctionSym& sym = nodes_[i].sym;
-    if (sym.name == "<lambda>" || sym.name == "<handler>") continue;
-    by_name[sym.name].push_back(static_cast<int>(i));
+    by_name[nodes_[i].sym.name].push_back(static_cast<int>(i));
   }
 
   for (GraphNode& node : nodes_) {
     std::unordered_set<int> edge_set;
     for (const CallSite& call : node.sym.calls) {
-      if (call.indirect) {
-        node.indirect_call = true;
-        continue;
-      }
-      if (suspension_primitives().count(call.name) != 0) {
-        if (!node.calls_primitive) {
-          node.calls_primitive = true;
-          node.primitive = call.name;
-        }
-        continue;
-      }
       if (call.std_qual) continue;  // `std::name(...)`: external by spelling
       auto defs = by_name.find(call.name);
-      if (defs != by_name.end()) {
-        bool linked = false;
-        for (int d : defs->second) {
-          const FunctionSym& target = nodes_[static_cast<std::size_t>(d)].sym;
-          const bool arity_ok =
-              call.argc < 0 || target.param_max < 0 ||
-              (call.argc >= target.param_min && call.argc <= target.param_max);
-          if (!arity_ok) continue;
-          linked = true;
-          if (edge_set.insert(d).second) node.callees.push_back(d);
-        }
-        if (linked) continue;
-        // Defined in-repo but no overload takes this many arguments: the
-        // name collides with something else (e.g. `ptr.get()` vs a 7-arg
-        // Endpoint::get).  Unresolved is the honest answer.
-      }
-      if (safe_externals().count(call.name) != 0) continue;
-      if (macro_like(call.name)) continue;
-      node.unresolved.push_back(call.name);
-    }
-    std::sort(node.unresolved.begin(), node.unresolved.end());
-    node.unresolved.erase(
-        std::unique(node.unresolved.begin(), node.unresolved.end()),
-        node.unresolved.end());
-    if (!node.unresolved.empty()) node.first_unresolved = node.unresolved[0];
-    if (node.indirect_call && node.first_unresolved.empty()) {
-      node.first_unresolved = "<indirect call>";
-    }
-
-    // Audited suspension cut: marker at the definition or registration.
-    node.audited_never =
-        node.file != nullptr &&
-        (has_marker_near(*node.file, node.sym.line, "never-suspends") ||
-         (node.sym.is_handler &&
-          has_marker_near(*node.file, node.sym.handler_line,
-                          "never-suspends")));
-  }
-
-  // Fixpoint: suspend / unresolved flow callee -> caller; an audited
-  // function neither originates nor forwards either taint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (GraphNode& node : nodes_) {
-      if (node.audited_never) continue;
-      if (!node.reaches_suspend) {
-        if (node.calls_primitive) {
-          node.reaches_suspend = true;
-          changed = true;
-        } else {
-          for (std::size_t e = 0; e < node.callees.size(); ++e) {
-            const GraphNode& c =
-                nodes_[static_cast<std::size_t>(node.callees[e])];
-            if (c.reaches_suspend && !c.audited_never) {
-              node.reaches_suspend = true;
-              node.suspend_via = node.callees[e];
-              changed = true;
-              break;
-            }
-          }
-        }
-      }
-      if (!node.reaches_unresolved) {
-        if (!node.unresolved.empty() || node.indirect_call) {
-          node.reaches_unresolved = true;
-          changed = true;
-        } else {
-          for (int e : node.callees) {
-            const GraphNode& c = nodes_[static_cast<std::size_t>(e)];
-            if (c.reaches_unresolved && !c.audited_never) {
-              node.reaches_unresolved = true;
-              if (node.first_unresolved.empty()) {
-                node.first_unresolved = c.first_unresolved;
-              }
-              changed = true;
-              break;
-            }
-          }
-        }
+      if (defs == by_name.end()) continue;
+      for (int d : defs->second) {
+        // A definition with no overload taking this many arguments is a
+        // name collision (`ptr.get()` vs a 7-arg Endpoint::get), not an
+        // edge.
+        const FunctionSym& target = nodes_[static_cast<std::size_t>(d)].sym;
+        const bool arity_ok =
+            target.param_max < 0 ||
+            (call.argc >= target.param_min && call.argc <= target.param_max);
+        if (arity_ok && edge_set.insert(d).second) node.callees.push_back(d);
       }
     }
   }
 
   // Fixpoint: hot / det flow caller -> callee.
-  changed = true;
+  bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -246,64 +66,6 @@ void CallGraph::finalize() {
       }
     }
   }
-}
-
-std::vector<HandlerInfo> CallGraph::classify_handlers() const {
-  std::vector<HandlerInfo> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const GraphNode& node = nodes_[i];
-    if (!node.sym.is_handler) continue;
-    HandlerInfo info;
-    info.node = static_cast<int>(i);
-    if (node.audited_never) {
-      info.cls = HandlerClass::kNeverSuspends;
-      info.audited = true;
-      info.why = "audited: `spam-lint: never-suspends` at the registration "
-                 "or definition";
-    } else if (node.reaches_suspend) {
-      info.cls = HandlerClass::kMaySuspend;
-      info.witness = suspend_chain(static_cast<int>(i));
-      info.why = "reaches suspension primitive";
-      if (!info.witness.empty()) {
-        info.why += " `" + info.witness.back() + "`";
-      }
-    } else if (node.reaches_unresolved) {
-      info.cls = HandlerClass::kUnknown;
-      info.why = "reaches unresolved call `" + node.first_unresolved + "`";
-    } else {
-      info.cls = HandlerClass::kNeverSuspends;
-      info.why = "no suspension primitive reachable";
-    }
-    out.push_back(std::move(info));
-  }
-  std::sort(out.begin(), out.end(),
-            [this](const HandlerInfo& a, const HandlerInfo& b) {
-              const FunctionSym& sa =
-                  nodes_[static_cast<std::size_t>(a.node)].sym;
-              const FunctionSym& sb =
-                  nodes_[static_cast<std::size_t>(b.node)].sym;
-              if (sa.file != sb.file) return sa.file < sb.file;
-              if (sa.handler_line != sb.handler_line) {
-                return sa.handler_line < sb.handler_line;
-              }
-              return sa.handler_bulk < sb.handler_bulk;
-            });
-  return out;
-}
-
-std::vector<std::string> CallGraph::suspend_chain(int node) const {
-  std::vector<std::string> chain;
-  int cur = node;
-  for (int hops = 0; cur >= 0 && hops < 16; ++hops) {
-    const GraphNode& n = nodes_[static_cast<std::size_t>(cur)];
-    chain.push_back(n.sym.qual.empty() ? n.sym.name : n.sym.qual);
-    if (n.calls_primitive) {
-      chain.push_back(n.primitive);
-      break;
-    }
-    cur = n.suspend_via;
-  }
-  return chain;
 }
 
 namespace {

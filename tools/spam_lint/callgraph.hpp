@@ -1,32 +1,14 @@
-// spam_lint call graph: cross-TU linking of the per-file symbol tables,
-// reachability propagation, and the AM handler-suspension classifier.
+// spam_lint call graph: cross-TU linking of the per-file symbol tables
+// and hot/det reachability propagation.
 //
 // Edges are resolved by callee *name* (filtered by argument count) against
 // every function definition seen across the lint run — no types, no
-// overload resolution.  Three escape hatches keep that honest:
+// overload resolution.  A call spelled `std::name(...)` never links, and
+// a call through a value (`handlers_[h](...)`, a std::function) links to
+// no definition and adds no edge.
 //
-//   - a call whose name matches a known suspension primitive (`suspend`,
-//     `elapse`, `settle`, `poll_until`, `yield`) marks the caller as
-//     directly suspending, before any resolution;
-//   - a call that resolves to nothing and is not a known-safe external
-//     (std/libc names, container members, ALL_CAPS macros) taints the
-//     caller as "reaches unresolved code";
-//   - indirect invocations (`handlers_[h](...)`, `fn()` through a
-//     std::function) taint the same way — the one exception is a lambda
-//     literally passed to register_handler, which symbols.cpp roots as its
-//     own handler node.
-//
-// Propagation is a fixpoint over the whole graph:
-//   reaches-suspend / reaches-unresolved flow callee -> caller,
-//   hot (from SPAM_HOT roots) and det (from sim-scope definitions) flow
-//   caller -> callee.
-//
-// An audited `// spam-lint: never-suspends` marker on a definition (or a
-// registration site) cuts suspend/unresolved propagation through that
-// function: the audit asserts run-to-completion under the production
-// configuration (see docs/static-analysis.md for the NodeCtx::charge
-// example).  Hot/det propagation is *not* cut — the marker audits
-// suspension only.
+// Propagation is a fixpoint over the whole graph: hot (from SPAM_HOT
+// roots) and det (from sim-scope definitions) flow caller -> callee.
 #pragma once
 
 #include <cstddef>
@@ -40,25 +22,11 @@ namespace spam::lint {
 
 struct Violation;
 
-enum class HandlerClass { kNeverSuspends, kMaySuspend, kUnknown };
-
-const char* handler_class_name(HandlerClass c);
-
 struct GraphNode {
   FunctionSym sym;
   const LexedFile* file = nullptr;  // owning lexed file (markers, body scans)
 
-  std::vector<int> callees;              // resolved in-repo edges
-  std::vector<std::string> unresolved;   // names with no definition match
-  bool indirect_call = false;            // body invokes through a value
-  bool calls_primitive = false;          // directly names a suspension prim
-  std::string primitive;                 // which one
-  bool audited_never = false;            // `spam-lint: never-suspends`
-
-  bool reaches_suspend = false;
-  int suspend_via = -1;  // callee edge that propagated it (-1: direct)
-  bool reaches_unresolved = false;
-  std::string first_unresolved;  // representative unresolved callee name
+  std::vector<int> callees;  // resolved in-repo edges
 
   bool hot_reach = false;  // reachable from a SPAM_HOT root
   int hot_from = -1;       // caller node that made it hot (-1: is a root)
@@ -66,33 +34,18 @@ struct GraphNode {
   int det_from = -1;
 };
 
-struct HandlerInfo {
-  int node = -1;
-  HandlerClass cls = HandlerClass::kUnknown;
-  bool audited = false;
-  std::string why;                   // one-line rationale
-  std::vector<std::string> witness;  // call chain handler -> ... -> primitive
-};
-
 class CallGraph {
  public:
   /// Registers one lexed file's symbols.  `file` must outlive the graph.
   void add_file(const LexedFile* file, std::vector<FunctionSym> syms);
 
-  /// Resolves edges and runs all reachability fixpoints.
+  /// Resolves edges and runs the hot/det reachability fixpoint.
   void finalize();
-
-  const std::vector<GraphNode>& nodes() const { return nodes_; }
-
-  /// Classifies every registered AM/bulk handler, sorted by (file, line).
-  std::vector<HandlerInfo> classify_handlers() const;
 
   /// Chain of names from a SPAM_HOT root down to `node` ("a -> b -> c").
   std::string hot_chain(int node) const;
   /// Chain from a sim-scope definition down to `node`.
   std::string det_chain(int node) const;
-  /// Chain from `node` down to the suspension primitive it reaches.
-  std::vector<std::string> suspend_chain(int node) const;
 
   /// Rule findings only the graph can see: hot-alloc/hot-growth and
   /// hot-charge-loop in functions reachable from SPAM_HOT roots,

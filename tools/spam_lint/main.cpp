@@ -1,10 +1,9 @@
 // spam_lint: the repo's determinism & hot-path invariant checker.
 //
 // v2 is a whole-program analyzer: after the per-file rule pass, every
-// function definition is extracted into a cross-TU call graph, transitive
-// rules (hot-*/det-* in functions merely *reachable* from SPAM_HOT roots
-// or simulation code) are applied, and every registered AM handler is
-// classified NEVER_SUSPENDS / MAY_SUSPEND / UNKNOWN (--handlers-out).
+// function definition is extracted into a cross-TU call graph and the
+// transitive rules (hot-*/det-* in functions merely *reachable* from
+// SPAM_HOT roots or simulation code) are applied.
 //
 // Violations print relative to --root (default: the current directory),
 // which is also the base for rule scoping.  Exit codes: 0 clean, 1 at
@@ -14,8 +13,8 @@
 //
 // This is a host-side tool: it may read the filesystem and allocate
 // freely.  It is not part of the simulation and none of the determinism
-// rules apply to it — but its *output* is deterministic (files, findings
-// and handler records are sorted; no timestamps) so CI diffs are stable.
+// rules apply to it — but its *output* is deterministic (files and
+// findings are sorted; no timestamps) so CI diffs are stable.
 
 #include <algorithm>
 #include <cstdio>
@@ -45,8 +44,6 @@ struct Options {
   bool use_default_allowlist = true;
   std::string format = "text";  // text | json | sarif
   std::string stale = "warn";   // warn | error
-  std::string handlers_out;     // write handler_classes.json here
-  bool no_callgraph = false;    // per-file rules only (the v1 behavior)
   bool help = false;
   std::vector<fs::path> inputs;
 };
@@ -91,18 +88,6 @@ const std::vector<Flag>& flag_table() {
          o.stale = v;
          return true;
        }},
-      {"--handlers-out", true,
-       "FILE  write the AM handler suspension report (handler_classes.json)",
-       [](Options& o, const std::string& v) {
-         o.handlers_out = v;
-         return true;
-       }},
-      {"--no-callgraph", false,
-       "      per-file rules only; no cross-TU analysis",
-       [](Options& o, const std::string&) {
-         o.no_callgraph = true;
-         return true;
-       }},
       {"--help", false, "             print this help and exit 0",
        [](Options& o, const std::string&) {
          o.help = true;
@@ -120,10 +105,9 @@ void print_help(std::FILE* to, const char* argv0) {
   }
   std::fprintf(to,
                "\nLints every .hpp/.h/.cpp/.cc under the given paths; "
-               "builds a cross-TU call\ngraph for transitive hot/det rules "
-               "and AM handler suspension classification.\nExit codes: 0 "
-               "clean, 1 violations (or stale allowlist under "
-               "--stale=error),\n2 usage or I/O error.\n");
+               "builds a cross-TU call\ngraph for transitive hot/det "
+               "rules.\nExit codes: 0 clean, 1 violations (or stale "
+               "allowlist under --stale=error),\n2 usage or I/O error.\n");
 }
 
 int usage(const char* argv0) {
@@ -206,12 +190,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (opts.inputs.empty()) return usage(argv[0]);
-  if (!opts.handlers_out.empty() && opts.no_callgraph) {
-    std::fprintf(stderr,
-                 "spam_lint: --handlers-out requires the call graph "
-                 "(drop --no-callgraph)\n");
-    return 2;
-  }
 
   std::error_code ec;
   opts.root = fs::canonical(opts.root, ec);
@@ -274,7 +252,7 @@ int main(int argc, char** argv) {
     by_rel[rels.back()] = &lexed.back();
   }
 
-  // Pass 1: per-file rules (exactly the v1 behavior).
+  // Pass 1: per-file rules.
   std::vector<spam::lint::Violation> all;
   for (std::size_t i = 0; i < lexed.size(); ++i) {
     for (spam::lint::Violation v : spam::lint::run_rules(lexed[i], rels[i])) {
@@ -283,17 +261,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Pass 2: cross-TU call graph — transitive rules + handler classes.
+  // Pass 2: cross-TU call graph and the transitive rules.
   spam::lint::CallGraph graph;
-  if (!opts.no_callgraph) {
-    for (std::size_t i = 0; i < lexed.size(); ++i) {
-      graph.add_file(&lexed[i],
-                     spam::lint::extract_symbols(lexed[i], rels[i]));
-    }
-    graph.finalize();
-    for (spam::lint::Violation& v : graph.transitive_violations()) {
-      all.push_back(std::move(v));
-    }
+  for (std::size_t i = 0; i < lexed.size(); ++i) {
+    graph.add_file(&lexed[i], spam::lint::extract_symbols(lexed[i], rels[i]));
+  }
+  graph.finalize();
+  for (spam::lint::Violation& v : graph.transitive_violations()) {
+    all.push_back(std::move(v));
   }
 
   // Merge: sort by (file, line, rule); a direct and a transitive finding
@@ -342,17 +317,6 @@ int main(int argc, char** argv) {
   } else {  // sarif
     const std::string doc = spam::lint::render_sarif(findings);
     std::fwrite(doc.data(), 1, doc.size(), stdout);
-  }
-
-  if (!opts.handlers_out.empty()) {
-    const std::string doc = spam::lint::render_handler_report(
-        graph, graph.classify_handlers());
-    std::ofstream out(opts.handlers_out, std::ios::binary);
-    if (!out || !(out << doc)) {
-      std::fprintf(stderr, "spam_lint: cannot write %s\n",
-                   opts.handlers_out.c_str());
-      return 2;
-    }
   }
 
   for (const spam::lint::AllowEntry& e : stale) {

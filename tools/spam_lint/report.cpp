@@ -113,59 +113,4 @@ std::string render_sarif(const std::vector<Finding>& findings) {
   return out;
 }
 
-std::string render_handler_report(const CallGraph& graph,
-                                  const std::vector<HandlerInfo>& handlers) {
-  int never = 0, may = 0, unknown = 0;
-  for (const HandlerInfo& h : handlers) {
-    switch (h.cls) {
-      case HandlerClass::kNeverSuspends: ++never; break;
-      case HandlerClass::kMaySuspend: ++may; break;
-      case HandlerClass::kUnknown: ++unknown; break;
-    }
-  }
-
-  std::string out = "{\n";
-  out += "  \"tool\": \"spam_lint\",\n";
-  out += "  \"report\": \"handler_classes\",\n";
-  out += "  \"summary\": {\"handlers\": " +
-         itoa(static_cast<int>(handlers.size())) +
-         ", \"never_suspends\": " + itoa(never) +
-         ", \"may_suspend\": " + itoa(may) +
-         ", \"unknown\": " + itoa(unknown) + "},\n";
-  out += "  \"handlers\": [";
-  for (std::size_t i = 0; i < handlers.size(); ++i) {
-    const HandlerInfo& h = handlers[i];
-    const GraphNode& n = graph.nodes()[static_cast<std::size_t>(h.node)];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\n";
-    out += "      \"name\": " + q(n.sym.handler_name) + ",\n";
-    out += "      \"file\": " + q(n.sym.file) + ",\n";
-    out += "      \"line\": " + itoa(n.sym.handler_line) + ",\n";
-    out += std::string("      \"kind\": ") +
-           (n.sym.handler_bulk ? "\"bulk\"" : "\"msg\"") + ",\n";
-    out += std::string("      \"lambda\": ") +
-           (n.sym.name == "<lambda>" ? "true" : "false") + ",\n";
-    out += std::string("      \"class\": \"") + handler_class_name(h.cls) +
-           "\",\n";
-    out += std::string("      \"audited\": ") +
-           (h.audited ? "true" : "false") + ",\n";
-    out += "      \"why\": " + q(h.why);
-    if (h.cls == HandlerClass::kMaySuspend && !h.witness.empty()) {
-      out += ",\n      \"witness\": [";
-      for (std::size_t w = 0; w < h.witness.size(); ++w) {
-        if (w != 0) out += ", ";
-        out += q(h.witness[w]);
-      }
-      out += "]";
-    }
-    if (h.cls == HandlerClass::kUnknown) {
-      out += ",\n      \"unresolved\": " + q(n.first_unresolved);
-    }
-    out += "\n    }";
-  }
-  out += handlers.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
-}
-
 }  // namespace spam::lint

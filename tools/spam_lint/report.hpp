@@ -4,12 +4,7 @@
 //                    entries + counts) as one JSON document, for scripting
 //                    against CI runs;
 //   render_sarif   — the same findings as SARIF 2.1.0, the code-scanning
-//                    interchange format GitHub ingests;
-//   render_handler_report — handler_classes.json: every registered AM/bulk
-//                    handler with its suspension class.  This file is the
-//                    safety whitelist a future inline-handler optimization
-//                    consumes: only NEVER_SUSPENDS handlers may run inline
-//                    on the delivering context.
+//                    interchange format GitHub ingests.
 //
 // All renderers emit deterministic output (inputs are pre-sorted by the
 // caller; no timestamps, no absolute paths) so CI diffs are stable.
@@ -19,7 +14,6 @@
 #include <vector>
 
 #include "allowlist.hpp"
-#include "callgraph.hpp"
 
 namespace spam::lint {
 
@@ -41,10 +35,5 @@ std::string render_json(const std::vector<Finding>& findings,
 
 /// Findings as a SARIF 2.1.0 log (single run, tool.driver.name "spam_lint").
 std::string render_sarif(const std::vector<Finding>& findings);
-
-/// handler_classes.json: the classifier's verdict for every registered
-/// handler, plus summary counts.
-std::string render_handler_report(const CallGraph& graph,
-                                  const std::vector<HandlerInfo>& handlers);
 
 }  // namespace spam::lint

@@ -40,21 +40,6 @@ struct Scope {
   std::string name;  // qualification component for kNamespace/kClass
 };
 
-// A `register_handler(...)` / `register_bulk_handler(...)` call (or a
-// reserved `msg_handlers_`/`bulk_handlers_` emplace) whose argument list
-// is still open: the next lambda inside it becomes a handler root.
-struct PendingReg {
-  bool active = false;
-  bool bulk = false;
-  bool lambda_only = false;  // emplace flavor: only a literal lambda roots
-  bool got_lambda = false;
-  bool parens_closed = false;
-  int open_depth = 0;  // paren depth just before the registration '('
-  int line = 0;
-  std::string target;          // LHS of `h_x_ = register_handler(...)`
-  std::string last_arg_ident;  // fallback for `register_handler(named_fn)`
-};
-
 class Extractor {
  public:
   Extractor(const LexedFile& file, const std::string& rel)
@@ -160,7 +145,6 @@ class Extractor {
   // [head_start_, k).
   Scope classify_brace(std::size_t k);
 
-  void handle_registration(std::size_t k);
   void open_scope(std::size_t k);
 
   const LexedFile& file_;
@@ -169,8 +153,6 @@ class Extractor {
   std::vector<Scope> scopes_;
   std::vector<FunctionSym> out_;
   std::size_t head_start_ = 0;
-  int paren_depth_ = 0;
-  PendingReg pending_;
 };
 
 bool Extractor::is_lambda_brace(std::size_t k) const {
@@ -243,28 +225,11 @@ Scope Extractor::classify_brace(std::size_t k) {
     return Scope{Scope::kInit, -1, ""};
   }
   if (is_lambda_brace(k)) {
-    // Non-handler lambdas are transparent blocks: their calls belong to
-    // the enclosing function (a lambda built and run on a hot path runs
-    // on the hot path).  Registration-site lambdas become symbols below.
-    if (pending_.active && !pending_.parens_closed && !pending_.got_lambda) {
-      pending_.got_lambda = true;
-      FunctionSym sym;
-      sym.name = "<lambda>";
-      sym.qual = scope_prefix();
-      if (!sym.qual.empty()) sym.qual += "::";
-      sym.qual += pending_.target.empty() ? "<lambda>" : pending_.target;
-      sym.file = rel_;
-      sym.line = tok(k).line;
-      sym.is_handler = true;
-      sym.handler_bulk = pending_.bulk;
-      sym.handler_name = pending_.target;
-      sym.handler_line = pending_.line;
-      out_.push_back(sym);
-      return Scope{Scope::kFunction, static_cast<int>(out_.size() - 1), ""};
-    }
-    // Named local lambda (`auto name = [..](..) {`): becomes its own
-    // definition so later calls to `name` resolve instead of tainting the
-    // caller as unresolved.  Parameters are not parsed — wildcard arity.
+    // Lambdas are transparent blocks: their calls belong to the enclosing
+    // function (a lambda built and run on a hot path runs on the hot path).
+    // A named local lambda (`auto name = [..](..) {`) becomes its own
+    // definition so later calls to `name` resolve.  Parameters are not
+    // parsed — wildcard arity.
     const std::size_t lb = lambda_intro(k);
     if (lb != n() && lb >= 2 && tok(lb - 1).text == "=" &&
         tok(lb - 2).kind == TokKind::kIdent) {
@@ -375,10 +340,6 @@ Scope Extractor::classify_brace(std::size_t k) {
       }
       for (std::size_t j = head_start_; j < k; ++j) {
         if (tok(j).text == "SPAM_HOT") sym.spam_hot = true;
-        if (tok(j).text == "always_inline" ||
-            tok(j).text == "SPAM_ALWAYS_INLINE") {
-          sym.always_inline = true;
-        }
       }
       out_.push_back(sym);
       return Scope{Scope::kFunction, static_cast<int>(out_.size() - 1), ""};
@@ -413,49 +374,6 @@ Scope Extractor::classify_brace(std::size_t k) {
   return Scope{Scope::kBlock, -1, ""};
 }
 
-void Extractor::handle_registration(std::size_t k) {
-  const std::string& t = tok(k).text;
-  bool bulk = false, lambda_only = false, match = false;
-  if (t == "register_handler" || t == "register_bulk_handler") {
-    // Only member-spelled calls (`ep.register_handler(...)`) are
-    // registration sites; the Endpoint's own definitions/declarations of
-    // these methods are spelled without a receiver.
-    const bool member =
-        k >= 1 &&
-        (tok(k - 1).text == "." ||
-         (tok(k - 1).text == ">" && k >= 2 && tok(k - 2).text == "-"));
-    if (!member) return;
-    match = true;
-    bulk = t == "register_bulk_handler";
-  } else if (t == "emplace_back" && k >= 2 && tok(k - 1).text == "." &&
-             (tok(k - 2).text == "msg_handlers_" ||
-              tok(k - 2).text == "bulk_handlers_")) {
-    match = true;
-    lambda_only = true;
-    bulk = tok(k - 2).text == "bulk_handlers_";
-  }
-  if (!match) return;
-
-  pending_ = PendingReg{};
-  pending_.active = true;
-  pending_.bulk = bulk;
-  pending_.lambda_only = lambda_only;
-  pending_.open_depth = paren_depth_;
-  pending_.line = tok(k).line;
-  if (lambda_only) pending_.target = "reserved-noop";
-
-  // LHS of `h_x_ = ep_.register_handler(...)`: scan back to the statement
-  // boundary for an `ident =` prefix.
-  for (std::size_t j = k; j-- > 0;) {
-    const std::string& b = tok(j).text;
-    if (b == ";" || b == "{" || b == "}") break;
-    if (b == "=" && j > 0 && tok(j - 1).kind == TokKind::kIdent) {
-      pending_.target = tok(j - 1).text;
-      break;
-    }
-  }
-}
-
 void Extractor::open_scope(std::size_t k) {
   Scope s = classify_brace(k);
   if (s.kind == Scope::kFunction && s.sym >= 0) {
@@ -469,39 +387,7 @@ std::vector<FunctionSym> Extractor::run() {
   for (std::size_t k = 0; k < n(); ++k) {
     const Token& t = tok(k);
 
-    if (t.text == "(") {
-      ++paren_depth_;
-    } else if (t.text == ")") {
-      --paren_depth_;
-      if (pending_.active && paren_depth_ <= pending_.open_depth) {
-        pending_.parens_closed = true;
-      }
-    } else if (t.text == ";") {
-      if (pending_.active) {
-        // `register_handler(named_fn)`: no lambda appeared — synthesize a
-        // handler symbol that simply calls the named target.
-        if (!pending_.got_lambda && !pending_.lambda_only &&
-            !pending_.last_arg_ident.empty()) {
-          FunctionSym sym;
-          sym.name = "<handler>";
-          sym.qual = pending_.target.empty() ? pending_.last_arg_ident
-                                             : pending_.target;
-          sym.file = rel_;
-          sym.line = pending_.line;
-          sym.is_handler = true;
-          sym.handler_bulk = pending_.bulk;
-          sym.handler_name = pending_.target.empty() ? pending_.last_arg_ident
-                                                     : pending_.target;
-          sym.handler_line = pending_.line;
-          CallSite target;
-          target.name = pending_.last_arg_ident;
-          target.line = pending_.line;
-          target.argc = -1;  // arity unknown: match any definition
-          sym.calls.push_back(target);
-          out_.push_back(sym);
-        }
-        pending_ = PendingReg{};
-      }
+    if (t.text == ";") {
       head_start_ = k + 1;
     } else if (t.text == "{") {
       open_scope(k);
@@ -522,16 +408,6 @@ std::vector<FunctionSym> Extractor::run() {
 
     if (t.kind != TokKind::kIdent) continue;
 
-    handle_registration(k);
-    if (pending_.active && !pending_.parens_closed && k + 1 < n() &&
-        tok(k).kind == TokKind::kIdent && paren_depth_ > pending_.open_depth) {
-      const std::string& nx = tok(k + 1).text;
-      if ((nx == ")" || nx == ",") && t.text != "std" && t.text != "move" &&
-          t.text != "forward") {
-        pending_.last_arg_ident = t.text;
-      }
-    }
-
     // Call collection for the innermost function body.
     const int fn = innermost_function();
     if (fn < 0) continue;
@@ -540,18 +416,15 @@ std::vector<FunctionSym> Extractor::run() {
 
     CallSite site;
     site.name = t.text;
-    site.line = t.line;
     if (k > 0) {
       const Token& p = tok(k - 1);
       if (p.kind == TokKind::kIdent) {
         if (!call_after_ident_ok(p.text)) continue;  // a declaration
       } else if (p.text == ">") {
         if (k < 2 || tok(k - 2).text != "-") continue;  // template-type decl
-        site.member = true;  // `x->f(...)`
       } else if (p.text == "~") {
         continue;
-      } else if (p.text == "." || p.text == ":") {
-        site.member = true;
+      } else if (p.text == ":") {
         site.std_qual =
             k >= 3 && tok(k - 1).text == ":" && tok(k - 2).text == ":" &&
             tok(k - 3).text == "std";
@@ -559,43 +432,6 @@ std::vector<FunctionSym> Extractor::run() {
     }
     site.argc = count_args(k + 1).count;
     out_[static_cast<std::size_t>(fn)].calls.push_back(site);
-  }
-
-  // Indirect invocations: `expr[...](...)` and `expr(...)(...)` — the
-  // callee is unknowable at this level, which the graph turns into
-  // "reaches unresolved code".
-  for (FunctionSym& sym : out_) {
-    if (sym.body_begin == 0 && sym.body_end == 0) continue;
-    for (std::size_t i = sym.body_begin + 1;
-         i + 1 < sym.body_end && i + 1 < file_.tokens.size(); ++i) {
-      const Token& t = file_.tokens[i];
-      if (t.in_directive || t.text != "(") continue;
-      const Token& p = file_.tokens[i - 1];
-      if (p.in_directive) continue;
-      if (p.text == "]" || p.text == ")") {
-        // `)` form: skip casts/parenthesized callees conservatively only
-        // when this is clearly a call chain — `for (...) (void)x;` has no
-        // such shape; `handlers_[h](...)` and `fn.get()(...)` do.  A
-        // `](` pair that opens a lambda's parameter list is not a call.
-        bool lambda_params = false;
-        if (p.text == "]") {
-          int depth = 0;
-          for (std::size_t m = i; m-- > 0;) {
-            if (file_.tokens[m].text == "]") ++depth;
-            if (file_.tokens[m].text == "[" && --depth == 0) {
-              lambda_params =
-                  m == 0 || (file_.tokens[m - 1].kind != TokKind::kIdent &&
-                             file_.tokens[m - 1].text != "]" &&
-                             file_.tokens[m - 1].text != ")");
-              break;
-            }
-          }
-        }
-        if (!lambda_params) {
-          sym.calls.push_back(CallSite{"", t.line, false, true});
-        }
-      }
-    }
   }
 
   return out_;

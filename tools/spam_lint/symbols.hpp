@@ -12,16 +12,12 @@
 // since the last statement boundary.  That classification is deliberately
 // lexical: no templates are instantiated, no overloads resolved, no
 // types known.  docs/static-analysis.md spells out what this can and
-// cannot see; the call graph turns "cannot see" into UNKNOWN rather than
-// silently guessing.
+// cannot see.
 //
-// Lambdas normally contribute their calls to the enclosing function (a
-// lambda defined and invoked on a hot path runs on the hot path).  The
-// exception is a lambda passed to `register_handler` /
-// `register_bulk_handler` (or installed into the reserved
-// `msg_handlers_`/`bulk_handlers_` slots): that lambda becomes its own
-// symbol, rooted in the graph as an AM handler, because it runs on the
-// *delivering* context, not the registering one.
+// Lambdas contribute their calls to the enclosing function (a lambda
+// defined and invoked on a hot path runs on the hot path).  The exception
+// is a lambda bound to a local (`auto name = [..](..) {`): it becomes a
+// named definition so later calls to `name` resolve.
 #pragma once
 
 #include <cstddef>
@@ -34,36 +30,26 @@ namespace spam::lint {
 
 /// One call site inside a function body.
 struct CallSite {
-  std::string name;      // callee identifier (last component: `x.f()` -> "f")
-  int line = 0;          // 1-based
-  bool member = false;    // spelled as a member/qualified access
-  bool indirect = false;  // `fn()`, `handlers_[h](...)`: target unknowable
+  std::string name;       // callee identifier (last component: `x.f()` -> "f")
   bool std_qual = false;  // spelled `std::name(...)`: never an in-repo def
-  int argc = 0;           // top-level argument count (-1: unknown, match any)
+  int argc = 0;           // top-level argument count
 };
 
-/// One function definition (or registered handler lambda).
+/// One function definition (or named local lambda).
 struct FunctionSym {
-  std::string name;  // unqualified name; "<lambda>" for lambdas
+  std::string name;  // unqualified name
   std::string qual;  // display name with enclosing class/namespace scopes
   std::string file;  // path relative to the lint root
   int line = 0;      // 1-based line of the definition
 
-  bool spam_hot = false;       // SPAM_HOT in the declaration head
-  bool always_inline = false;  // always_inline/SPAM_ALWAYS_INLINE in the head
+  bool spam_hot = false;  // SPAM_HOT in the declaration head
 
   // Parameter-count range for call/definition arity matching: a call with
   // argc in [param_min, param_max] may target this definition.
-  // param_max == -1 means "matches any count" (variadic, or a lambda /
-  // synthesized handler whose list was not parsed).
+  // param_max == -1 means "matches any count" (variadic, or a lambda
+  // whose list was not parsed).
   int param_min = 0;
   int param_max = -1;
-
-  // AM handler registration root.
-  bool is_handler = false;
-  bool handler_bulk = false;     // register_bulk_handler / bulk_handlers_
-  std::string handler_name;      // LHS of `h_x_ = register_handler(...)`
-  int handler_line = 0;          // line of the registration call
 
   std::size_t body_begin = 0;  // token index of the body '{'
   std::size_t body_end = 0;    // token index of the matching '}'
@@ -71,8 +57,8 @@ struct FunctionSym {
   std::vector<CallSite> calls;
 };
 
-/// Extracts every function definition (including registration-site handler
-/// lambdas) and the calls inside each from one lexed file.
+/// Extracts every function definition (including named local lambdas)
+/// and the calls inside each from one lexed file.
 std::vector<FunctionSym> extract_symbols(const LexedFile& file,
                                          const std::string& rel_path);
 
